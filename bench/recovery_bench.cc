@@ -29,8 +29,9 @@
 // ignores wall fields.
 //
 // Baseline regeneration (the committed bench/baselines/recovery.json):
-//   MMDB_TRACE_CAPACITY=64 MMDB_METRICS_SIDECAR=bench/baselines/recovery.json \
-//       ./build/bench/recovery_bench --jobs=2 > /dev/null
+//   export MMDB_TRACE_CAPACITY=64
+//   export MMDB_METRICS_SIDECAR=bench/baselines/recovery.json
+//   ./build/bench/recovery_bench --jobs=2 > /dev/null
 // (MMDB_RECOVERY_THREADS must be UNSET: it would override every point's
 // per-point thread count.)
 

@@ -157,7 +157,6 @@ Status LogManager::OpenExisting(
   checkpoint_cuts_.clear();
   flushed_lsn_ = next_lsn > 0 ? next_lsn - 1 : kInvalidLsn;
   durable_floor_ = flushed_lsn_;
-  durable_bytes_floor_ = total_valid;
   epoch_floor_ = epoch_seq_;
   return Status::OK();
 }
@@ -232,7 +231,24 @@ std::vector<uint64_t> LogManager::StreamWrittenSnapshot() const {
   return snap;
 }
 
+void LogManager::FoldLanded(double now) {
+  // done_time never decreases along pending_ (a merge finishes no earlier
+  // than the batch it joins; a new batch starts after the last one ends),
+  // so the landed entries are a prefix. The newest of them is what every
+  // durability query at a time >= now reads from the prefix.
+  while (!pending_.empty() && pending_.front().done_time <= now) {
+    const PendingFlush& f = pending_.front();
+    durable_floor_ = f.last_lsn;
+    epoch_floor_ = f.epoch;
+    for (size_t k = 0; k < streams_.size(); ++k) {
+      streams_[k].durable_bytes_floor = f.stream_bytes[k];
+    }
+    pending_.pop_front();
+  }
+}
+
 StatusOr<double> LogManager::Flush(double now) {
+  FoldLanded(now);
   if (tail_bytes_ == 0) return now;
   if (AnyDamaged()) MMDB_RETURN_IF_ERROR(Repair());
   // One gang batch over every stream's tail: the modeled flush is sized by
@@ -281,9 +297,9 @@ StatusOr<double> LogManager::Flush(double now) {
     double done = std::max(batch.done_time,
                            batch.start_time + FlushSeconds(batch_words));
     flush_busy_seconds_ += done - batch.done_time;
-    pending_.push_back(PendingFlush{tail_last_lsn_, written_bytes_,
-                                    batch_words, batch.start_time, done,
-                                    batch.epoch, StreamWrittenSnapshot()});
+    pending_.push_back(PendingFlush{tail_last_lsn_, batch_words,
+                                    batch.start_time, done, batch.epoch,
+                                    StreamWrittenSnapshot()});
     if (m_group_merges_ != nullptr) m_group_merges_->Increment();
     if (tracer_ != nullptr) {
       tracer_->Record(TraceEventType::kLogFlush, now, done,
@@ -304,9 +320,8 @@ StatusOr<double> LogManager::Flush(double now) {
   double done = start + FlushSeconds(words);
   flush_busy_seconds_ += done - start;
   ++flush_count_;
-  pending_.push_back(PendingFlush{tail_last_lsn_, written_bytes_, words, start,
-                                  done, ++epoch_seq_,
-                                  StreamWrittenSnapshot()});
+  pending_.push_back(PendingFlush{tail_last_lsn_, words, start, done,
+                                  ++epoch_seq_, StreamWrittenSnapshot()});
   if (m_flush_batches_ != nullptr) {
     m_flush_batches_->Increment();
     m_flush_seconds_->Record(done - start);

@@ -130,6 +130,11 @@ class LogManager {
   StatusOr<double> Flush(double now);
 
   // Highest LSN durable at time `now` (kInvalidLsn if none).
+  //
+  // Durability queries (DurableLsn, WhenDurable, DurableEpoch, Crash) take
+  // a `now` no earlier than that of the latest Flush: each Flush folds the
+  // batches that landed by its `now` into the durable floors, so the
+  // pending list holds only batches still in flight.
   Lsn DurableLsn(double now) const;
 
   // Earliest time at which `lsn` is durable: a past time if already
@@ -156,6 +161,10 @@ class LogManager {
   uint64_t NextOffset() const { return appended_bytes_; }
 
   uint64_t TailBytes() const { return tail_bytes_; }
+
+  // Flush batches not yet folded into the durable floors: those still in
+  // flight at the latest Flush, plus any it issued.
+  size_t PendingFlushCount() const { return pending_.size(); }
 
   // Simulates losing volatile state at time `now`; truncates each on-disk
   // stream file to its durable prefix. Under stable_log_tail the tails
@@ -199,7 +208,7 @@ class LogManager {
     uint64_t written_bytes = 0;  // stream bytes handed to the file
     uint64_t appended_bytes = 0;  // stream framed bytes: written + tail
     uint64_t base_offset = 0;     // stream-local logical base
-    uint64_t durable_bytes_floor = 0;  // recovered prefix (OpenExisting)
+    uint64_t durable_bytes_floor = 0;  // durable outside pending_
     uint64_t appends = 0;              // records appended to this stream
     uint64_t append_bytes = 0;         // framed bytes ever appended
     // A failed gang append may have left a partial frame in this file;
@@ -216,10 +225,12 @@ class LogManager {
   Status Repair();
   Status RepairStream(Stream* s);
   bool AnyDamaged() const;
+  // Folds the pending batches whose modeled completion is <= `now` into
+  // durable_floor_, epoch_floor_ and each stream's durable_bytes_floor.
+  void FoldLanded(double now);
 
   struct PendingFlush {
     Lsn last_lsn;         // highest LSN contained in this flush
-    uint64_t bytes_upto;  // global bytes durable once this flush lands
     uint64_t words;       // payload size
     double start_time;    // when the devices begin writing it
     double done_time;     // modeled completion time
@@ -256,14 +267,13 @@ class LogManager {
   uint64_t base_offset_ = 0;  // sum of per-stream logical base offsets
   uint64_t flush_count_ = 0;
   uint64_t epoch_seq_ = 0;  // gang batches opened so far
-  uint64_t epoch_floor_ = 0;  // epochs durable before this instance
+  uint64_t epoch_floor_ = 0;  // newest epoch durable outside pending_
   double flush_busy_seconds_ = 0.0;
   double min_flush_spacing_;
   double last_flush_start_ = -1e300;
-  // LSN / byte prefix whose durability predates this LogManager instance
-  // (the recovered prefix after OpenExisting).
+  // Highest LSN known durable without consulting pending_: the recovered
+  // prefix after OpenExisting, raised as landed batches are folded.
   Lsn durable_floor_ = kInvalidLsn;
-  uint64_t durable_bytes_floor_ = 0;
 
   // Per-stream appended_bytes snapshots taken when a begin-checkpoint
   // marker is appended, keyed by the marker's global offset — the only

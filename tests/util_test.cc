@@ -150,31 +150,35 @@ TEST(Crc32cTest, KnownVectors) {
 
 TEST(Crc32cTest, Rfc3720Vectors) {
   // RFC 3720 §B.4 CRC32C test patterns (CRC bytes there are the
-  // little-endian encoding of these values).
-  char buf[32];
-  std::memset(buf, 0, sizeof(buf));
-  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x8a9136aau);
-  std::memset(buf, 0xff, sizeof(buf));
-  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x62a8ab43u);
-  for (int i = 0; i < 32; ++i) buf[i] = static_cast<char>(i);
-  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x46dd794eu);
-  for (int i = 0; i < 32; ++i) buf[i] = static_cast<char>(31 - i);
-  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x113fdb5cu);
-  unsigned char iscsi_read_pdu[48] = {
-      0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x04, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28,
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00};
-  EXPECT_EQ(crc32c::Value(reinterpret_cast<char*>(iscsi_read_pdu),
-                          sizeof(iscsi_read_pdu)),
-            0xd9963a56u);
+  // little-endian encoding of these values), for the dispatched kernel,
+  // the portable kernel and the reference alike.
+  for (auto extend : {crc32c::Extend, crc32c::ExtendPortable,
+                      crc32c::ExtendBytewise}) {
+    char buf[32];
+    std::memset(buf, 0, sizeof(buf));
+    EXPECT_EQ(extend(0, buf, sizeof(buf)), 0x8a9136aau);
+    std::memset(buf, 0xff, sizeof(buf));
+    EXPECT_EQ(extend(0, buf, sizeof(buf)), 0x62a8ab43u);
+    for (int i = 0; i < 32; ++i) buf[i] = static_cast<char>(i);
+    EXPECT_EQ(extend(0, buf, sizeof(buf)), 0x46dd794eu);
+    for (int i = 0; i < 32; ++i) buf[i] = static_cast<char>(31 - i);
+    EXPECT_EQ(extend(0, buf, sizeof(buf)), 0x113fdb5cu);
+    unsigned char iscsi_read_pdu[48] = {
+        0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x04, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00};
+    EXPECT_EQ(extend(0, reinterpret_cast<char*>(iscsi_read_pdu),
+                     sizeof(iscsi_read_pdu)),
+              0xd9963a56u);
+  }
 }
 
 TEST(Crc32cTest, SlicedKernelMatchesBytewiseReference) {
-  // The slice-by-8 production kernel must agree with the byte-at-a-time
-  // reference on every length (covering the 8-byte block boundary), every
-  // alignment, and under arbitrary init_crc continuation.
+  // The slice-by-8 kernel must agree with the byte-at-a-time reference on
+  // every length (covering the 8-byte block boundary), every alignment,
+  // and under arbitrary init_crc continuation.
   Random rng(301);
   std::string data;
   for (int i = 0; i < 4096; ++i) {
@@ -185,7 +189,7 @@ TEST(Crc32cTest, SlicedKernelMatchesBytewiseReference) {
                      size_t{100}, size_t{1000}, size_t{4096}}) {
     for (size_t offset : {size_t{0}, size_t{1}, size_t{3}, size_t{5}}) {
       if (offset + len > data.size()) continue;
-      EXPECT_EQ(crc32c::Extend(0, data.data() + offset, len),
+      EXPECT_EQ(crc32c::ExtendPortable(0, data.data() + offset, len),
                 crc32c::ExtendBytewise(0, data.data() + offset, len))
           << "len=" << len << " offset=" << offset;
     }
@@ -194,10 +198,104 @@ TEST(Crc32cTest, SlicedKernelMatchesBytewiseReference) {
     size_t offset = rng.Uniform(64);
     size_t len = rng.Uniform(static_cast<uint32_t>(data.size() - offset));
     uint32_t init = rng.Next();
-    EXPECT_EQ(crc32c::Extend(init, data.data() + offset, len),
+    EXPECT_EQ(crc32c::ExtendPortable(init, data.data() + offset, len),
               crc32c::ExtendBytewise(init, data.data() + offset, len))
         << "trial=" << trial;
   }
+}
+
+// The kernel Extend dispatches to and the portable fallback, each against
+// the bytewise reference. Without SSE4.2, Extend *is* the portable kernel,
+// so only the hardware arm skips.
+struct CrcKernel {
+  const char* name;
+  uint32_t (*extend)(uint32_t, const char*, size_t);
+  bool hardware;
+};
+
+class Crc32cKernelTest : public testing::TestWithParam<CrcKernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam().hardware &&
+        std::string(crc32c::KernelName()) != "sse4.2") {
+      GTEST_SKIP() << "no SSE4.2 on this CPU; Extend runs the portable kernel";
+    }
+  }
+
+  uint32_t Crc(uint32_t init, const std::string& s, size_t offset,
+               size_t len) const {
+    return GetParam().extend(init, s.data() + offset, len);
+  }
+
+  static std::string RandomBytes(size_t n, uint64_t seed) {
+    Random rng(seed);
+    std::string s(n, '\0');
+    for (char& c : s) c = static_cast<char>(rng.Uniform(256));
+    return s;
+  }
+};
+
+TEST_P(Crc32cKernelTest, EveryLengthAndOffsetMatchesBytewise) {
+  // Lengths 0..7000 cross the 3 KiB three-lane block twice (3072, 6144)
+  // and every 8-byte word boundary; offsets 0..7 cover every alignment.
+  // The reference is streamed one byte at a time, so each length costs one
+  // reference step rather than a full recompute.
+  constexpr size_t kMaxLen = 7000;
+  const std::string data = RandomBytes(kMaxLen + 8, 911);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    uint32_t want = 0;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) {
+        want = crc32c::ExtendBytewise(want, data.data() + offset + len - 1, 1);
+      }
+      ASSERT_EQ(Crc(0, data, offset, len), want)
+          << "len=" << len << " offset=" << offset;
+    }
+  }
+}
+
+TEST_P(Crc32cKernelTest, RandomOffsetLengthAndInitMatchBytewise) {
+  const std::string data = RandomBytes(3 * 32768, 912);
+  Random rng(913);
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t offset = rng.Uniform(64);
+    const size_t len = rng.Uniform(data.size() - offset + 1);
+    const uint32_t init = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(Crc(init, data, offset, len),
+              crc32c::ExtendBytewise(init, data.data() + offset, len))
+        << "trial=" << trial << " offset=" << offset << " len=" << len;
+  }
+}
+
+TEST_P(Crc32cKernelTest, SplitsComposeAroundTheLaneBlock) {
+  // Extend(Extend(0, a), b) == Value(a + b), with the split just below, at
+  // and above one and two three-lane blocks, so each half may take either
+  // the lane path or the single-lane path.
+  const std::string data = RandomBytes(9000, 914);
+  const uint32_t whole = crc32c::ExtendBytewise(0, data.data(), data.size());
+  ASSERT_EQ(crc32c::Value(data), whole);
+  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                       size_t{3071}, size_t{3072}, size_t{3073},
+                       size_t{5927}, size_t{5928}, size_t{5929},
+                       size_t{6143}, size_t{6144}, size_t{6145},
+                       size_t{8999}, size_t{9000}}) {
+    const uint32_t head = Crc(0, data, 0, split);
+    EXPECT_EQ(Crc(head, data, split, data.size() - split), whole)
+        << "split=" << split;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32cKernelTest,
+    testing::Values(CrcKernel{"Dispatched", crc32c::Extend, true},
+                    CrcKernel{"Portable", crc32c::ExtendPortable, false}),
+    [](const testing::TestParamInfo<CrcKernel>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(Crc32cTest, KernelNameNamesADispatchTarget) {
+  const std::string name = crc32c::KernelName();
+  EXPECT_TRUE(name == "sse4.2" || name == "portable") << name;
 }
 
 TEST(Crc32cTest, ExtendComposes) {
@@ -517,7 +615,9 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
         "1e", "{'a':1}"}) {
     StatusOr<JsonValue> doc = JsonValue::Parse(bad);
     EXPECT_FALSE(doc.ok()) << "accepted: " << bad;
-    if (!doc.ok()) EXPECT_TRUE(doc.status().IsCorruption()) << bad;
+    if (!doc.ok()) {
+      EXPECT_TRUE(doc.status().IsCorruption()) << bad;
+    }
   }
 }
 
