@@ -8,29 +8,61 @@
 namespace mmdb {
 namespace {
 
-// Validates one complete journal line (no trailing newline): the crc member
-// must be present, must be the literal splice Record() appended, and must
-// cover the line with that splice removed.
+constexpr std::string_view kSeqHead = "{\"seq\":";
+constexpr std::string_view kCrcSplice = ",\"crc\":";
+
+// Reads the decimal digits Uint() writes (no sign; at most
+// 19 digits so the value cannot overflow).
+bool ParseDigits(std::string_view s, uint64_t* out) {
+  if (s.empty() || s.size() > 19) return false;
+  uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<uint64_t>(c - '0');
+  }
+  *out = v;
+  return true;
+}
+
+// The integrity checks on one complete journal line (no trailing newline):
+// it opens with the seq member Record() writes first, ends with the crc
+// splice Record() appends, and that checksum covers the line with the
+// splice removed. Every line Record() wrote passes; a torn or damaged line
+// fails. Needs no JSON parse, so resuming a journal costs one checksum
+// pass over it.
+bool CheckLine(std::string_view line, uint64_t* seq) {
+  if (line.substr(0, kSeqHead.size()) != kSeqHead) return false;
+  const size_t comma = line.find(',', kSeqHead.size());
+  if (comma == std::string_view::npos ||
+      !ParseDigits(line.substr(kSeqHead.size(), comma - kSeqHead.size()),
+                   seq)) {
+    return false;
+  }
+  const size_t pos = line.rfind(kCrcSplice);
+  if (pos == std::string_view::npos || line.back() != '}') return false;
+  const size_t digits = pos + kCrcSplice.size();
+  uint64_t crc = 0;
+  if (!ParseDigits(line.substr(digits, line.size() - 1 - digits), &crc)) {
+    return false;
+  }
+  const uint32_t body = crc32c::Extend(0, line.data(), pos);
+  return crc32c::Extend(body, "}", 1) == crc;
+}
+
+// CheckLine, then the full parse: the line must also be a JSON object with
+// numeric t and string event members.
 bool ParseLine(std::string_view line, AuditEntry* out) {
-  size_t pos = line.rfind(",\"crc\":");
-  if (pos == std::string_view::npos) return false;
-  std::string body(line.substr(0, pos));
-  body += '}';
+  uint64_t seq = 0;
+  if (!CheckLine(line, &seq)) return false;
   StatusOr<JsonValue> parsed = JsonValue::Parse(line);
   if (!parsed.ok() || !parsed->is_object()) return false;
-  const JsonValue* crc = parsed->Find("crc");
-  const JsonValue* seq = parsed->Find("seq");
   const JsonValue* t = parsed->Find("t");
   const JsonValue* event = parsed->Find("event");
-  if (crc == nullptr || !crc->is_number() || seq == nullptr ||
-      !seq->is_number() || t == nullptr || !t->is_number() ||
-      event == nullptr || !event->is_string()) {
+  if (t == nullptr || !t->is_number() || event == nullptr ||
+      !event->is_string()) {
     return false;
   }
-  if (crc32c::Value(body) != static_cast<uint32_t>(crc->number_value())) {
-    return false;
-  }
-  out->seq = static_cast<uint64_t>(seq->number_value());
+  out->seq = seq;
   out->t = t->number_value();
   out->event = event->string_value();
   out->object = std::move(*parsed);
@@ -47,31 +79,25 @@ AuditJournal::AuditJournal(Env* env, std::string path)
     : env_(env), path_(std::move(path)) {}
 
 void AuditJournal::Open(bool fresh) {
-  std::string prefix;
-  if (!fresh) {
-    std::string existing;
-    if (env_->ReadFileToString(path_, &existing).ok()) {
-      // Keep the longest prefix of complete, CRC-clean, gap-free lines;
-      // anything after the first damaged line (a torn append from a crash
-      // or an injected fault) is dropped before numbering resumes.
-      size_t kept = 0;
-      uint64_t last_seq = 0;
-      size_t pos = 0;
-      while (pos < existing.size()) {
-        size_t nl = existing.find('\n', pos);
-        if (nl == std::string::npos) break;
-        AuditEntry e;
-        if (!ParseLine({existing.data() + pos, nl - pos}, &e) ||
-            e.seq != last_seq + 1) {
-          break;
-        }
-        last_seq = e.seq;
-        kept = nl + 1;
-        pos = nl + 1;
+  std::string existing;
+  size_t kept = 0;
+  if (!fresh && env_->ReadFileToString(path_, &existing).ok()) {
+    // Keep the longest prefix of complete, CRC-clean, gap-free lines;
+    // anything after the first damaged line (a torn append from a crash
+    // or an injected fault) is dropped before numbering resumes.
+    uint64_t last_seq = 0;
+    while (kept < existing.size()) {
+      const size_t nl = existing.find('\n', kept);
+      if (nl == std::string::npos) break;
+      uint64_t seq = 0;
+      if (!CheckLine({existing.data() + kept, nl - kept}, &seq) ||
+          seq != last_seq + 1) {
+        break;
       }
-      prefix = existing.substr(0, kept);
-      next_seq_ = last_seq + 1;
+      last_seq = seq;
+      kept = nl + 1;
     }
+    next_seq_ = last_seq + 1;
   }
   StatusOr<std::unique_ptr<WritableFile>> file = env_->NewWritableFile(path_);
   if (!file.ok()) {
@@ -79,7 +105,8 @@ void AuditJournal::Open(bool fresh) {
     return;
   }
   file_ = std::move(*file);
-  if (!prefix.empty() && !file_->Append(prefix).ok()) {
+  if (kept > 0 &&
+      !file_->Append(std::string_view(existing).substr(0, kept)).ok()) {
     ++counters_.append_errors;
     file_.reset();
   }

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "env/fault_injection_env.h"
@@ -123,6 +124,51 @@ TEST_F(AuditJournalTest, ReopenDropsTornTailAndResumesNumbering) {
   ASSERT_EQ(entries->size(), 3u);
   EXPECT_EQ((*entries)[2].seq, 3u);
   EXPECT_DOUBLE_EQ((*entries)[2].t, 2.0);
+}
+
+TEST_F(AuditJournalTest, ReopenKeepsCleanLinesUpToTheFirstDamagedOne) {
+  const std::string text = WriteEvents(5);
+  std::vector<size_t> ends;  // one past each line's newline
+  for (size_t nl = text.find('\n'); nl != std::string::npos;
+       nl = text.find('\n', nl + 1)) {
+    ends.push_back(nl + 1);
+  }
+  ASSERT_EQ(ends.size(), 5u);
+
+  // A clean journal is kept byte for byte.
+  {
+    AuditJournal journal(env_.get(), "audit.log");
+    journal.Open(/*fresh=*/false);
+    EXPECT_EQ(journal.next_seq(), 6u);
+    std::string reopened;
+    MMDB_ASSERT_OK(env_->ReadFileToString("audit.log", &reopened));
+    EXPECT_EQ(reopened, text);
+  }
+
+  // Damage, line by line: the crc digits, the closing brace, the seq
+  // member. Each cuts the journal back to the lines before the damage.
+  const std::vector<std::pair<int, std::string>> damage = {
+      {3, "crc"}, {2, "brace"}, {1, "seq"}};
+  for (const auto& [line, what] : damage) {
+    SCOPED_TRACE(what);
+    std::string bad = text;
+    const size_t begin = ends[line - 1];
+    if (what == "crc") {
+      const size_t digit = bad.rfind(':', ends[line] - 1) + 1;
+      bad[digit] = bad[digit] == '9' ? '8' : '9';
+    } else if (what == "brace") {
+      bad.insert(ends[line] - 2, " ");
+    } else {
+      bad[begin + 2] = 'S';
+    }
+    MMDB_ASSERT_OK(env_->WriteStringToFile("audit.log", bad, false));
+    AuditJournal journal(env_.get(), "audit.log");
+    journal.Open(/*fresh=*/false);
+    EXPECT_EQ(journal.next_seq(), static_cast<uint64_t>(line) + 1);
+    std::string reopened;
+    MMDB_ASSERT_OK(env_->ReadFileToString("audit.log", &reopened));
+    EXPECT_EQ(reopened, text.substr(0, begin));
+  }
 }
 
 TEST_F(AuditJournalTest, FirstAppendErrorDisablesTheJournal) {
