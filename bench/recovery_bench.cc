@@ -1,5 +1,5 @@
 // recovery_bench: wall-clock scaling of the parallel recovery pipeline
-// (DESIGN.md §14) across --recovery-threads 1/2/4/8 at two database
+// (DESIGN.md §19) across --recovery-threads 1/2/4/8 at two database
 // sizes.
 //
 // Every point runs the same deterministic history — workload, crash,

@@ -229,8 +229,8 @@ Status Engine::AdmitRecovery(const std::vector<SegmentId>& segs) {
     // segment already loaded so it does not claim the touch-triggered
     // load as a background one.
     Status loaded =
-        instant_->Materialize(s, now, InstantRecovery::LoadTrigger::kTouch);
-    if (!loaded.ok()) return FailInstantRecovery(std::move(loaded));
+        instant_->Materialize({s}, now, InstantRecovery::LoadTrigger::kTouch);
+    if (!loaded.ok()) return FailRecovery(std::move(loaded));
     if (wait > 0) {
       // The sixth stall cause: the transaction waits on this segment's
       // recovery latch until its backup reload completes.
@@ -536,7 +536,7 @@ Status Engine::AdvanceTime(double seconds) {
   // but stale in memory" across a time advance.
   if (instant_ != nullptr) {
     Status due = instant_->MaterializeDue(clock_.now());
-    if (!due.ok()) return FailInstantRecovery(std::move(due));
+    if (!due.ok()) return FailRecovery(std::move(due));
     SyncInstant();
   }
   return Status::OK();
@@ -620,63 +620,63 @@ StatusOr<RecoveryStats> Engine::Recover() {
     recovery_pool_ = std::make_unique<ThreadPool>(threads);
   }
   RecoveryManager rm(env_, options_.params, &meter_, metrics_, tracer_.get(),
-                     threads > 1 ? recovery_pool_.get() : nullptr);
-  rm.set_audit(audit_.get());
+                     threads > 1 ? recovery_pool_.get() : nullptr,
+                     audit_.get());
   avail_ = Availability{};
-  if (instant_enabled_) {
-    // Instant recovery (DESIGN.md §19): build the plan (streams merged,
-    // frames bucketed per segment, copy sources chosen), advance the
-    // clock by the log-read phase only, and admit transactions — each
-    // segment recovers on first touch or in background access-priority
-    // order. The returned stats are already blocking-equivalent.
-    const double crash_now = clock_.now();
-    MMDB_ASSIGN_OR_RETURN(InstantRecoveryPlan plan,
-                          rm.PlanInstant(backup_.get(), LogPaths(), db_.get(),
-                                         segments_.get(), crash_now));
-    const RecoveryStats stats = plan.result.stats;
-    last_recovery_ = stats;
-    has_last_recovery_ = true;
-    last_lineage_ = plan.result.lineage;  // refined at drain on fallback
-    instant_newest_end_id_ = plan.result.newest_end_id;
-    MMDB_RETURN_IF_ERROR(log_->OpenExisting(plan.result.stream_valid_bytes,
-                                            plan.result.last_lsn + 1));
-    clock_.AdvanceBy(stats.log_read_seconds);
+  // Both schedules share one plan (DESIGN.md §19): streams merged, frames
+  // bucketed per segment and validated, copy sources chosen.
+  recovery_crash_now_ = clock_.now();
+  StatusOr<InstantRecoveryPlan> plan =
+      rm.PlanInstant(backup_.get(), LogPaths(), db_.get(), segments_.get(),
+                     recovery_crash_now_);
+  if (!plan.ok()) return FailRecovery(plan.status());
+  auto recovery = std::make_unique<InstantRecovery>(std::move(*plan), rm,
+                                                    backup_.get(), db_.get());
+  if (!instant_enabled_) {
+    // Blocking schedule: every segment in one batch, then the clock moves
+    // past the whole modeled restart before anything is admitted.
+    Status loaded = recovery->MaterializeAll();
+    if (!loaded.ok()) return FailRecovery(std::move(loaded));
+    const RecoveryResult result = FinishRecovery(std::move(recovery));
+    MMDB_RETURN_IF_ERROR(
+        log_->OpenExisting(result.stream_valid_bytes, result.last_lsn + 1));
+    clock_.AdvanceBy(result.stats.total_seconds);
     TickSampler();
     crashed_ = false;
-    // Provisional numbering fixup from the planned restore source; re-run
-    // by SyncInstant if an on-demand fallback rewinds the checkpoint id.
-    CheckpointId next = stats.checkpoint_id + 1;
-    while (next <= instant_newest_end_id_) next += 2;
-    scheduler_.Restore(next - 1, clock_.now());
-    instant_fixup_done_ = false;
-    instant_crash_now_ = crash_now;
-    avail_.ran = true;
-    avail_.crash_time = crash_now;
-    avail_.time_to_first_txn = clock_.now() - crash_now;
-    instant_ = std::make_unique<InstantRecovery>(
-        std::move(plan), options_.params, backup_.get(), db_.get(), &meter_,
-        metrics_, tracer_.get(), audit_.get());
-    instant_->StartClock(clock_.now());
-    // A cold start (no checkpoint to reload) is due in full immediately:
-    // materialize and finish now so the audit chain closes like the
-    // blocking path's. A warm start has nothing due yet — no-op.
-    Status due = instant_->MaterializeDue(clock_.now());
-    if (!due.ok()) return FailInstantRecovery(std::move(due));
-    SyncInstant();
-    return stats;
+    RestoreCheckpointNumbering(result);
+    return result.stats;
   }
-  MMDB_ASSIGN_OR_RETURN(
-      RecoveryResult result,
-      rm.Recover(backup_.get(), LogPaths(), db_.get(), segments_.get(),
-                 clock_.now()));
-  last_recovery_ = result.stats;
+  // Instant schedule: advance the clock by the log-read phase only and
+  // admit transactions — each segment recovers on first touch or in
+  // background access-priority order. The returned stats are already
+  // blocking-equivalent unless a fallback refines them later.
+  const RecoveryResult& planned = recovery->result();
+  const RecoveryStats stats = planned.stats;
+  last_recovery_ = stats;
   has_last_recovery_ = true;
-  last_lineage_ = std::move(result.lineage);
-  MMDB_RETURN_IF_ERROR(
-      log_->OpenExisting(result.stream_valid_bytes, result.last_lsn + 1));
-  clock_.AdvanceBy(result.stats.total_seconds);
+  last_lineage_ = planned.lineage;  // refined at drain on fallback
+  MMDB_RETURN_IF_ERROR(log_->OpenExisting(planned.stream_valid_bytes,
+                                          planned.last_lsn + 1));
+  clock_.AdvanceBy(stats.log_read_seconds);
   TickSampler();
   crashed_ = false;
+  // Provisional; SyncInstant re-runs it if a fallback rewinds the source.
+  RestoreCheckpointNumbering(planned);
+  instant_fixup_done_ = false;
+  avail_.ran = true;
+  avail_.crash_time = recovery_crash_now_;
+  avail_.time_to_first_txn = clock_.now() - recovery_crash_now_;
+  instant_ = std::move(recovery);
+  instant_->StartClock(clock_.now());
+  // A cold start (no checkpoint to reload) is due in full immediately:
+  // materialize and finish now. A warm start has nothing due yet — no-op.
+  Status due = instant_->MaterializeDue(clock_.now());
+  if (!due.ok()) return FailRecovery(std::move(due));
+  SyncInstant();
+  return stats;
+}
+
+void Engine::RestoreCheckpointNumbering(const RecoveryResult& result) {
   // Resume checkpoint numbering from what was actually restored. Without
   // this, a checkpoint completed in the log but not yet in the metadata
   // would get its id REUSED by the next sweep — and a later backward scan
@@ -688,15 +688,14 @@ StatusOr<RecoveryStats> Engine::Recover() {
   CheckpointId next = result.stats.checkpoint_id + 1;
   while (next <= result.newest_end_id) next += 2;
   scheduler_.Restore(next - 1, clock_.now());
-  return result.stats;
 }
 
-Status Engine::FailInstantRecovery(Status error) {
-  // Same terminal event (and chain closure) the blocking path's wrapper
-  // journals when RecoverImpl fails.
+Status Engine::FailRecovery(Status error) {
+  // The one recovery.error site: a plan that cannot be built, or a
+  // materialization that failed fatally. Closes the audit chain.
   if (audit_ != nullptr) {
     const std::string text = error.ToString();
-    audit_->Record("recovery.error", instant_crash_now_, [&](JsonWriter& w) {
+    audit_->Record("recovery.error", recovery_crash_now_, [&](JsonWriter& w) {
       w.Key("error");
       w.String(text);
     });
@@ -713,7 +712,7 @@ void Engine::ForceRecoverRecord(RecordId record) {
   // caller: on a materialization error the read simply sees the
   // unrecovered image, and the next transactional touch of the segment
   // surfaces the error properly.
-  (void)instant_->Materialize(db_->SegmentOf(record), clock_.now(),
+  (void)instant_->Materialize({db_->SegmentOf(record)}, clock_.now(),
                               InstantRecovery::LoadTrigger::kForce);
   SyncInstant();
 }
@@ -722,58 +721,31 @@ void Engine::SyncInstant() {
   if (instant_ == nullptr) return;
   if (!instant_fixup_done_ && instant_->fell_back()) {
     // An on-demand fallback rewound the restore source to the previous
-    // checkpoint; redo the numbering fixup from the refined stats (see
-    // the comment in the blocking Recover()). Safe here: no checkpoint
-    // can have begun — StartCheckpoint drains the recovery first.
+    // checkpoint; redo the numbering fixup. Safe here: no checkpoint can
+    // have begun — StartCheckpoint drains the recovery first.
     instant_fixup_done_ = true;
-    CheckpointId next = instant_->stats().checkpoint_id + 1;
-    while (next <= instant_newest_end_id_) next += 2;
-    scheduler_.Restore(next - 1, clock_.now());
+    RestoreCheckpointNumbering(instant_->result());
   }
-  if (instant_->AllLoaded()) FinalizeInstantRecovery();
+  if (instant_->AllLoaded()) FinishRecovery(std::move(instant_));
 }
 
-void Engine::FinalizeInstantRecovery() {
-  std::unique_ptr<InstantRecovery> ir = std::move(instant_);
-  // The last background reload may land after the last touch-stall the
-  // clock actually waited on; full recovery is its completion time.
-  const double t_end = ir->CompleteSchedule();
-  avail_.time_to_full_recovery = t_end - avail_.crash_time;
-  avail_.touch_loads = ir->touch_loads();
-  avail_.background_loads = ir->background_loads();
-  avail_.force_loads = ir->force_loads();
-  avail_.drained = true;
-  // Fallback refinements land here; stats were provisional since plan.
+RecoveryResult Engine::FinishRecovery(std::unique_ptr<InstantRecovery> ir) {
+  if (avail_.ran) {
+    // The last background reload may land after the last touch-stall the
+    // clock actually waited on; full recovery is its completion time.
+    const double t_end = ir->CompleteSchedule();
+    avail_.time_to_full_recovery = t_end - avail_.crash_time;
+    avail_.touch_loads = ir->touch_loads();
+    avail_.background_loads = ir->background_loads();
+    avail_.force_loads = ir->force_loads();
+    avail_.drained = true;
+  }
+  // Fallback refinements land here; instant stats were provisional.
   last_recovery_ = ir->stats();
   has_last_recovery_ = true;
   last_lineage_ = ir->result().lineage;
-  // Close the audit chain PlanInstant left open, and publish the registry
-  // counters and phase trace events — same shapes, same crash-time
-  // anchor, same values as the blocking path.
-  if (audit_ != nullptr) {
-    const RecoveryResult& r = ir->result();
-    audit_->Record("recovery.lineage", instant_crash_now_,
-                   [&](JsonWriter& w) {
-                     w.Key("lineage");
-                     WriteLineageJson(r.lineage, &w);
-                   });
-    audit_->Record("recovery.end", instant_crash_now_, [&](JsonWriter& w) {
-      w.Key("checkpoint");
-      w.Uint(r.stats.checkpoint_id);
-      w.Key("copy");
-      w.Uint(r.stats.copy);
-      w.Key("fell_back");
-      w.Bool(r.stats.fell_back_to_older_copy);
-      w.Key("last_lsn");
-      w.Uint(r.last_lsn);
-      w.Key("applies");
-      w.Uint(r.stats.updates_applied);
-      w.Key("txns");
-      w.Uint(r.stats.txns_redone);
-    });
-    audit_->Sync();
-  }
-  ir->PublishFinal(instant_crash_now_);
+  ir->Finish();
+  return ir->result();
 }
 
 Status Engine::DrainRecovery() {
@@ -785,7 +757,7 @@ Status Engine::DrainRecovery() {
     return AdvanceTime(t_end - clock_.now());
   }
   Status due = instant_->MaterializeDue(clock_.now());
-  if (!due.ok()) return FailInstantRecovery(std::move(due));
+  if (!due.ok()) return FailRecovery(std::move(due));
   SyncInstant();
   return Status::OK();
 }

@@ -286,11 +286,17 @@ class Engine {
   // Post-materialization bookkeeping: the one-time scheduler fixup after
   // an older-copy fallback, and finalization once every segment loaded.
   void SyncInstant();
-  void FinalizeInstantRecovery();
-  // A materialization failed fatally (neither backup copy readable, or
-  // the log rotted since planning): journal recovery.error, abandon the
-  // drain and halt the engine — data is unrecoverable.
-  Status FailInstantRecovery(Status error);
+  // Closes a finished recovery under either schedule: availability
+  // accounting, last_recovery_/last_lineage_, and the published summary
+  // and journaled outcome (InstantRecovery::Finish). Returns the result.
+  RecoveryResult FinishRecovery(std::unique_ptr<InstantRecovery> ir);
+  // Resumes checkpoint numbering after `result`'s restore (see the
+  // comment in engine.cc).
+  void RestoreCheckpointNumbering(const RecoveryResult& result);
+  // Recovery failed fatally (no plan, neither backup copy readable, or
+  // the log rotted since planning): journal recovery.error, abandon any
+  // drain and leave the engine crashed — data is unrecoverable.
+  Status FailRecovery(Status error);
   // Samples the time series (if enabled) up to the current clock.
   void TickSampler() {
     if (sampler_ != nullptr) sampler_->SampleUpTo(clock_.now());
@@ -369,12 +375,9 @@ class Engine {
   std::unique_ptr<InstantRecovery> instant_;
   // One-shot guard for the post-fallback checkpoint-numbering fixup.
   bool instant_fixup_done_ = false;
-  // Inputs Recover() saved for finalization: the crash instant (trace
-  // events and the audit chain use the blocking path's timeline) and the
-  // newest end-marker id (the scheduler fixup must re-run after a
-  // fallback rewinds stats.checkpoint_id).
-  double instant_crash_now_ = 0.0;
-  CheckpointId instant_newest_end_id_ = 0;
+  // The crash instant of the most recent Recover(): recovery.error is
+  // stamped with it, like every other recovery outcome event.
+  double recovery_crash_now_ = 0.0;
   // Availability metrics of the most recent restart; `ran` gates the
   // dump's "availability" member so instant-off output is byte-identical
   // to pre-instant builds.

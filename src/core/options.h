@@ -101,11 +101,12 @@ struct EngineOptions {
   // (with a drop count), bounding the dump size of long runs.
   size_t timeseries_capacity = 512;
 
-  // Worker threads for Recover()'s parallel pipeline (concurrent backup
-  // segment reloads, pipelined log scan, partitioned REDO replay —
-  // DESIGN.md §14). 0 = hardware concurrency; 1 = the exact legacy
-  // serial path. Every modeled RecoveryStats quantity is bit-identical
-  // across settings — only real wall-clock changes. The
+  // Width of the recovery pool (DESIGN.md §19): the plan's log scan and
+  // validation, and each materialization batch's backup reads and
+  // bucketed REDO replay, fan out over this many workers under either
+  // restart schedule. 0 = hardware concurrency; 1 = no pool, the same
+  // chunks run inline. Every modeled RecoveryStats quantity is
+  // bit-identical across settings — only real wall-clock changes. The
   // MMDB_RECOVERY_THREADS environment variable, when set to a positive
   // integer, overrides this value for every engine
   // (RecoveryManager::ResolveThreads) — used by check.sh to pin the
@@ -124,20 +125,21 @@ struct EngineOptions {
   // (ResolveShards) — used by check.sh's shards=4 TSan lane.
   uint32_t shards = 1;
 
-  // Serve transactions during restart (DESIGN.md §19): OpenExisting
-  // returns as soon as the recovery *plan* is built (streams merged,
-  // per-segment REDO buckets indexed, copy sources chosen) and segments
-  // are recovered on demand — a transaction touching a not-yet-recovered
-  // segment stalls on that segment's recovery latch (the sixth latency
-  // cause, recovery_wait) while untouched segments reload in background
+  // The restart schedule (DESIGN.md §19). Both schedules build the same
+  // recovery plan (streams merged, per-segment REDO buckets indexed and
+  // validated, copy sources chosen). false: every segment materializes
+  // in one batch before Recover()/OpenExisting returns. true: they
+  // return as soon as the plan is built and segments are recovered on
+  // demand — a transaction touching a not-yet-recovered segment stalls
+  // on that segment's recovery latch (the sixth latency cause,
+  // recovery_wait) while untouched segments reload in background
   // access-priority order (observed touch count desc, then segment id).
   // The final database state, the modeled RecoveryStats, and the
-  // per-segment lineage are bit-identical to blocking recovery — instant
-  // recovery reschedules when recovery work happens, never what it
-  // computes. The MMDB_INSTANT_RECOVERY environment variable, when set
-  // to 0 or 1, overrides this value for every engine
-  // (Engine::ResolveInstantRecovery) — used by check.sh's instant
-  // sanitize lane.
+  // per-segment lineage are bit-identical under both — the schedule
+  // decides when recovery work happens, never what it computes. The
+  // MMDB_INSTANT_RECOVERY environment variable, when set to 0 or 1,
+  // overrides this value for every engine
+  // (Engine::ResolveInstantRecovery) — used by check.sh's instant lanes.
   bool instant_recovery = false;
 
   // Optional externally owned registry, e.g. shared by every engine of a

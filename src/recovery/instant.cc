@@ -4,7 +4,6 @@
 #include <limits>
 #include <string>
 
-#include "util/coding.h"
 #include "util/string_util.h"
 #include "wal/log_record.h"
 
@@ -24,28 +23,31 @@ const char* TriggerName(InstantRecovery::LoadTrigger trigger) {
   return "unknown";
 }
 
+// Only CRC damage and device faults are survivable via the older copy;
+// anything else (bad geometry, programming error) is fatal.
+template <typename Failures>
+Status FirstUnsurvivable(const Failures& failures) {
+  for (const auto& f : failures) {
+    if (!f.status.IsCorruption() && !f.status.IsIoError()) return f.status;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 InstantRecovery::InstantRecovery(InstantRecoveryPlan plan,
-                                 const SystemParams& params,
-                                 BackupStore* backup, Database* db,
-                                 CpuMeter* meter, MetricsRegistry* metrics,
-                                 Tracer* tracer, AuditJournal* audit)
+                                 const RecoveryManager& planner,
+                                 BackupStore* backup, Database* db)
     : plan_(std::move(plan)),
-      params_(params),
+      planner_(planner),
       backup_(backup),
       db_(db),
-      meter_(meter),
-      metrics_(metrics),
-      tracer_(tracer),
-      audit_(audit),
       num_segments_(db->num_segments()),
-      disks_(params.disk) {
+      disks_(planner.params_.disk) {
   availability_.assign(num_segments_, -1.0);
   submit_time_.assign(num_segments_, 0.0);
   touch_count_.assign(num_segments_, 0);
   loaded_.assign(num_segments_, false);
-  announced_.assign(num_segments_, false);
   unsubmitted_ = plan_.have_checkpoint ? num_segments_ : 0;
 }
 
@@ -54,6 +56,7 @@ void InstantRecovery::StartClock(double now) {
   clock_started_ = true;
   start_ = now;
   last_completion_ = now;
+  serving_ = plan_.have_checkpoint;
   if (!plan_.have_checkpoint) {
     // Cold start: there is no backup to read, so every segment is
     // "available" the instant the plan is — only its REDO replay remains.
@@ -62,13 +65,12 @@ void InstantRecovery::StartClock(double now) {
       submit_time_[s] = now;
       due_.push_back(s);
     }
-    schedule_complete_ = true;
     return;
   }
   // Prime one request per device; every completion refills from the
   // pending set, so the array never idles until the schedule drains.
   const uint64_t window = std::min<uint64_t>(
-      params_.disk.num_disks, static_cast<uint64_t>(num_segments_));
+      planner_.params_.disk.num_disks, static_cast<uint64_t>(num_segments_));
   for (uint64_t i = 0; i < window; ++i) {
     SubmitSegment(PickNextPending(), now);
   }
@@ -88,7 +90,7 @@ SegmentId InstantRecovery::PickNextPending() const {
 }
 
 void InstantRecovery::SubmitSegment(SegmentId s, double at) {
-  availability_[s] = disks_.Submit(at, params_.db.segment_words);
+  availability_[s] = disks_.Submit(at, planner_.params_.db.segment_words);
   submit_time_[s] = at;
   if (availability_[s] > last_completion_) {
     last_completion_ = availability_[s];
@@ -108,7 +110,6 @@ void InstantRecovery::AdvanceScheduleTo(double t) {
       SubmitSegment(PickNextPending(), done);
     }
   }
-  if (inflight_.empty() && unsubmitted_ == 0) schedule_complete_ = true;
 }
 
 double InstantRecovery::Touch(SegmentId s, double now) {
@@ -124,82 +125,126 @@ double InstantRecovery::Touch(SegmentId s, double now) {
 }
 
 double InstantRecovery::CompleteSchedule() {
+  serving_ = false;
   AdvanceScheduleTo(std::numeric_limits<double>::infinity());
   return last_completion_;
 }
 
 Status InstantRecovery::MaterializeDue(double now) {
   AdvanceScheduleTo(now);
-  // Swap out the work list first: a fallback inside Materialize may
-  // re-materialize other segments, and due entries must not be lost.
   std::vector<SegmentId> work;
   work.swap(due_);
-  for (SegmentId s : work) {
-    if (loaded_[s]) continue;
-    MMDB_RETURN_IF_ERROR(Materialize(s, now, LoadTrigger::kBackground));
+  return Materialize(work, now, LoadTrigger::kBackground);
+}
+
+Status InstantRecovery::MaterializeAll() {
+  std::vector<SegmentId> all(num_segments_);
+  for (SegmentId s = 0; s < num_segments_; ++s) all[s] = s;
+  return Materialize(all, plan_.crash_time, LoadTrigger::kBackground);
+}
+
+Status InstantRecovery::Materialize(const std::vector<SegmentId>& segs,
+                                    double now, LoadTrigger trigger) {
+  MMDB_RETURN_IF_ERROR(failed_);
+  std::vector<SegmentId> batch;
+  for (SegmentId s : segs) {
+    if (s >= num_segments_) {
+      return InvalidArgumentError("segment out of range");
+    }
+    if (!loaded_[s]) batch.push_back(s);
+  }
+  if (batch.empty()) return Status::OK();
+  const std::size_t requested = batch.size();
+  Status st;
+  if (plan_.have_checkpoint) {
+    std::vector<SegmentFailure> failures;
+    st = ReadSegments(batch, &failures);
+    if (st.ok() && !failures.empty()) {
+      st = FallBack(std::move(failures), &batch);
+    }
+  }
+  if (st.ok()) st = ReplaySegments(batch);
+  if (!st.ok()) {
+    failed_ = st;
+    return st;
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    loaded_[batch[i]] = true;
+    ++loaded_count_;
+    // Segments a fallback pulled into the batch load in the background.
+    Announce(batch[i], i < requested ? trigger : LoadTrigger::kBackground,
+             now);
   }
   return Status::OK();
 }
 
-Status InstantRecovery::ReplayFrames(const std::vector<std::size_t>& frames,
-                                     bool use_ext_committed,
-                                     ApplyStats* out) {
-  const LogReader& reader = plan_.reader;
-  for (std::size_t frame : frames) {
-    MMDB_ASSIGN_OR_RETURN(LogRecord r, reader.RecordAtIndex(frame));
-    const bool committed =
-        plan_.committed.count(r.txn_id) != 0 ||
-        (use_ext_committed && ext_committed_.count(r.txn_id) != 0);
-    if (!committed) continue;
-    bool applied = false;
-    if (r.type == LogRecordType::kUpdate) {
-      if (r.record_id >= db_->num_records() ||
-          r.image.size() != db_->record_bytes()) {
-        return CorruptionError(StringPrintf(
-            "update record for txn %llu is malformed",
-            static_cast<unsigned long long>(r.txn_id)));
-      }
-      db_->WriteRecord(r.record_id, r.image);
-      ++out->full_applies;
-      applied = true;
-    } else if (r.type == LogRecordType::kDelta) {
-      if (r.record_id >= db_->num_records() ||
-          r.field_offset + 8 > db_->record_bytes()) {
-        return CorruptionError(StringPrintf(
-            "delta record for txn %llu is malformed",
-            static_cast<unsigned long long>(r.txn_id)));
-      }
-      std::string image(db_->ReadRecord(r.record_id));
-      uint64_t field = DecodeFixed64(image.data() + r.field_offset);
-      EncodeFixed64(image.data() + r.field_offset,
-                    field + static_cast<uint64_t>(r.delta));
-      db_->WriteRecord(r.record_id, image);
-      ++out->delta_applies;
-      applied = true;
-    }
-    if (applied) {
-      if (out->first_lsn == kInvalidLsn) out->first_lsn = r.lsn;
-      out->last_lsn = r.lsn;
-      const uint32_t stream = reader.FrameStream(frame);
-      if (std::find(out->streams.begin(), out->streams.end(), stream) ==
-          out->streams.end()) {
-        out->streams.push_back(stream);
-      }
-    }
+Status InstantRecovery::ReadSegments(const std::vector<SegmentId>& ids,
+                                     std::vector<SegmentFailure>* failures) {
+  RecoveryStats& stats = plan_.result.stats;
+  std::vector<Status> status(ids.size());
+  // Segments are independent byte ranges of both the copy file and the
+  // primary, so the reads + CRC checks fan out.
+  MMDB_RETURN_IF_ERROR(planner_.FanOut(
+      ids.size(),
+      [&](std::size_t begin, std::size_t end) -> Status {
+        std::string image;
+        for (std::size_t i = begin; i < end; ++i) {
+          const SegmentId s = ids[i];
+          status[i] =
+              backup_->ReadSegment(plan_.result.lineage[s].copy, s, &image);
+          if (status[i].ok()) db_->WriteSegment(s, image);
+        }
+        return Status::OK();
+      },
+      &stats, &stats.backup_read_wall_seconds, /*use_pool=*/!serving_));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!status[i].ok()) failures->push_back(SegmentFailure{ids[i], status[i]});
   }
   return Status::OK();
 }
 
-Status InstantRecovery::PrepareFallback(const Status& trigger_status,
-                                        SegmentId s, double now) {
-  LogReader& reader = plan_.reader;
+Status InstantRecovery::FallBack(std::vector<SegmentFailure> failures,
+                                 std::vector<SegmentId>* batch) {
+  MMDB_RETURN_IF_ERROR(FirstUnsurvivable(failures));
+  // A failure after the fallback means neither copy is readable: fatal.
+  if (fell_back_) return failures.front().status;
   RecoveryResult& result = plan_.result;
   RecoveryStats& stats = result.stats;
+  const LogReader& reader = plan_.reader;
 
-  // Locate the previous checkpoint's begin marker — the ping-pong
-  // protocol guarantees its copy was complete before the newest one
-  // started overwriting the other file.
+  // Complete the failed set. Blocking recovery reads every segment of the
+  // newest copy before deciding; the instant schedule may not have
+  // reached some yet, so read the rest now.
+  //
+  // Segments loaded by earlier batches keep their bytes. A CRC-clean
+  // newest-copy segment plus the main suffix already equals what the
+  // longer replay gives: full images are idempotent, and a
+  // copy-on-update copy (the only kind logical deltas are allowed with)
+  // is the exact snapshot at its begin marker. Reloading them would
+  // discard transactions committed since the restart.
+  std::vector<bool> in_batch(num_segments_, false);
+  for (SegmentId s : *batch) in_batch[s] = true;
+  std::vector<SegmentId> rest;
+  for (SegmentId s = 0; s < num_segments_; ++s) {
+    if (!loaded_[s] && !in_batch[s]) rest.push_back(s);
+  }
+  MMDB_RETURN_IF_ERROR(ReadSegments(rest, &failures));
+  MMDB_RETURN_IF_ERROR(FirstUnsurvivable(failures));
+  batch->insert(batch->end(), rest.begin(), rest.end());
+  std::sort(failures.begin(), failures.end(),
+            [](const SegmentFailure& a, const SegmentFailure& b) {
+              return a.segment < b.segment;
+            });
+
+  // The newest copy has CRC-bad or unreadable segments (a torn checkpoint
+  // tail, scribbled in-flight slots, or device faults). The ping-pong
+  // protocol guarantees the PREVIOUS checkpoint's copy was complete before
+  // this one started overwriting the other file, so fall back to it and
+  // replay the longer log suffix from its begin marker — which must still
+  // be in the log, since truncation only ever cuts before the newest
+  // complete checkpoint's marker.
   const CheckpointId prev_id = plan_.restore_id - 1;
+  const uint32_t prev_copy = BackupStore::CopyFor(prev_id);
   bool found_prev = false;
   uint64_t prev_begin_offset = 0;
   LogRecord prev_begin_record;
@@ -221,7 +266,7 @@ Status InstantRecovery::PrepareFallback(const Status& trigger_status,
         "backup copy %u of checkpoint %llu is unreadable (%s) and no "
         "older complete checkpoint is reachable in the log",
         plan_.restore_copy, static_cast<unsigned long long>(plan_.restore_id),
-        trigger_status.message().c_str()));
+        failures.front().status.message().c_str()));
   }
   for (const ActiveTxnEntry& e : prev_begin_record.active_txns) {
     if (e.first_lsn != kInvalidLsn) {
@@ -230,354 +275,173 @@ Status InstantRecovery::PrepareFallback(const Status& trigger_status,
           "logging is not used by this engine");
     }
   }
-
-  // DELTA records anywhere in the longer suffix force a full reload from
-  // the previous copy (logical REDO demands an exact snapshot at the
-  // replay start point) — the same rule as blocking recovery.
-  bool suffix_has_delta = false;
-  MMDB_RETURN_IF_ERROR(
-      reader.ScanForward(prev_begin_offset, [&](const LogRecord& r, uint64_t) {
-        if (r.type == LogRecordType::kDelta) {
-          suffix_has_delta = true;
-          return false;
-        }
-        return true;
+  // Retry protocol: with full-image (UPDATE) replay only, re-reading JUST
+  // the failed segments from the previous copy is sound — commit-time
+  // logging puts every post-prev-marker update in the replay suffix, and
+  // full images are idempotent, so the mixed-copy state converges to the
+  // same bytes. DELTA records are logical additions and demand an exact
+  // snapshot at the replay start point, so their presence in the suffix
+  // forces a full reload of the previous copy.
+  bool full_reload = false;
+  MMDB_RETURN_IF_ERROR(reader.ScanForward(
+      prev_begin_offset, [&](const LogRecord& r, uint64_t) {
+        full_reload = r.type == LogRecordType::kDelta;
+        return !full_reload;
       }));
-
-  // Scan the extension [prev begin marker, newest begin marker) into
-  // per-segment buckets plus the overflow bucket, and collect its
-  // commits. Extension data frames may belong to transactions whose
-  // commit record lies in the MAIN suffix, so extension replay honors
-  // the union of both committed sets; main frames never need the
-  // extension's commits (a commit is a transaction's last record, so a
-  // main-suffix data frame's commit is also in the main suffix).
-  MMDB_ASSIGN_OR_RETURN(std::size_t prev_start_frame,
-                        reader.FrameIndexAt(prev_begin_offset));
-  const std::size_t num_buckets = static_cast<std::size_t>(num_segments_) + 1;
-  const std::size_t overflow_bucket = num_buckets - 1;
-  ext_buckets_.assign(num_buckets, {});
-  const uint64_t records_per_segment = params_.db.records_per_segment();
-  uint64_t ext_frames = 0;
-  for (std::size_t frame = prev_start_frame; frame < plan_.start_frame;
-       ++frame) {
-    LogRecordHeader h;
-    MMDB_RETURN_IF_ERROR(reader.HeaderAt(frame, &h));
-    ++ext_frames;
-    if (h.type == LogRecordType::kCommit) {
-      ext_committed_.insert(h.txn_id);
-    } else if (h.type == LogRecordType::kUpdate ||
-               h.type == LogRecordType::kDelta) {
-      std::size_t b = static_cast<std::size_t>(std::min<uint64_t>(
-          h.record_id / records_per_segment, overflow_bucket));
-      ext_buckets_[b].push_back(frame);
-    }
+  std::vector<SegmentId> retry;
+  if (full_reload) {
+    for (SegmentId s = 0; s < num_segments_; ++s) retry.push_back(s);
+  } else {
+    for (const SegmentFailure& f : failures) retry.push_back(f.segment);
   }
-
-  // Validate every extension frame exactly as blocking recovery's replay
-  // would (decode errors, malformed checks on committed frames) and
-  // tally the per-segment applies — the lineage/stat refinements the
-  // longer suffix adds to EVERY segment, not just the failed one.
-  ext_stats_.assign(num_buckets, ApplyStats{});
-  uint64_t ext_full = 0;
-  uint64_t ext_delta = 0;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    ApplyStats& es = ext_stats_[b];
-    for (std::size_t frame : ext_buckets_[b]) {
-      MMDB_ASSIGN_OR_RETURN(LogRecord r, reader.RecordAtIndex(frame));
-      const bool committed = plan_.committed.count(r.txn_id) != 0 ||
-                             ext_committed_.count(r.txn_id) != 0;
-      if (!committed) continue;
-      if (r.type == LogRecordType::kUpdate) {
-        if (r.record_id >= db_->num_records() ||
-            r.image.size() != db_->record_bytes()) {
-          return CorruptionError(StringPrintf(
-              "update record for txn %llu is malformed",
-              static_cast<unsigned long long>(r.txn_id)));
-        }
-        ++es.full_applies;
-      } else if (r.type == LogRecordType::kDelta) {
-        if (r.record_id >= db_->num_records() ||
-            r.field_offset + 8 > db_->record_bytes()) {
-          return CorruptionError(StringPrintf(
-              "delta record for txn %llu is malformed",
-              static_cast<unsigned long long>(r.txn_id)));
-        }
-        ++es.delta_applies;
-      } else {
-        continue;
-      }
-      if (es.first_lsn == kInvalidLsn) es.first_lsn = r.lsn;
-      es.last_lsn = r.lsn;
-      const uint32_t stream = reader.FrameStream(frame);
-      if (std::find(es.streams.begin(), es.streams.end(), stream) ==
-          es.streams.end()) {
-        es.streams.push_back(stream);
-      }
-      if (b != overflow_bucket) {
-        ext_full += r.type == LogRecordType::kUpdate ? 1 : 0;
-        ext_delta += r.type == LogRecordType::kDelta ? 1 : 0;
-      }
-    }
+  if (planner_.audit_ != nullptr) {
+    const std::string trigger = failures.front().status.ToString();
+    planner_.audit_->Record(
+        "recovery.fallback", plan_.crash_time, [&](JsonWriter& w) {
+          w.Key("from_checkpoint");
+          w.Uint(plan_.restore_id);
+          w.Key("from_copy");
+          w.Uint(plan_.restore_copy);
+          w.Key("to_checkpoint");
+          w.Uint(prev_id);
+          w.Key("to_copy");
+          w.Uint(prev_copy);
+          w.Key("trigger");
+          w.String(trigger);
+          w.Key("failed_segments");
+          w.BeginArray();
+          for (const SegmentFailure& f : failures) w.Uint(f.segment);
+          w.EndArray();
+          w.Key("full_reload");
+          w.Bool(full_reload);
+        });
   }
-
-  if (audit_ != nullptr) {
-    const std::string trigger = trigger_status.ToString();
-    audit_->Record("recovery.fallback", now, [&](JsonWriter& w) {
-      w.Key("from_checkpoint");
-      w.Uint(plan_.restore_id);
-      w.Key("from_copy");
-      w.Uint(plan_.restore_copy);
-      w.Key("to_checkpoint");
-      w.Uint(prev_id);
-      w.Key("to_copy");
-      w.Uint(BackupStore::CopyFor(prev_id));
-      w.Key("trigger");
-      w.String(trigger);
-      w.Key("failed_segments");
-      w.BeginArray();
-      w.Uint(s);
-      w.EndArray();
-      w.Key("full_reload");
-      w.Bool(suffix_has_delta);
-    });
+  // Every retried segment's provenance is now the previous copy
+  // (mixed-copy when the retry set is partial), as in a blocking restart.
+  for (SegmentId s : retry) {
+    SegmentLineage& l = result.lineage[s];
+    l.checkpoint_id = prev_id;
+    l.copy = prev_copy;
+    l.retried = true;
   }
-
-  // Refine the modeled stats to the longer suffix, exactly as blocking
-  // recovery computes them. The backup-phase duration only changes on a
-  // full reload: blocking submits one modeled read per SUCCESSFUL
-  // segment read, and a partial retry re-reads each failed segment once,
-  // so the submission count stays num_segments.
-  fallback_prev_id_ = prev_id;
-  fallback_prev_copy_ = BackupStore::CopyFor(prev_id);
+  plan_.restore_id = prev_id;
+  plan_.restore_copy = prev_copy;
+  plan_.replay_from_offset = prev_begin_offset;
   stats.checkpoint_id = prev_id;
-  stats.copy = fallback_prev_copy_;
+  stats.copy = prev_copy;
   stats.fell_back_to_older_copy = true;
-  stats.log_bytes_read = result.log_valid_bytes > prev_begin_offset
-                             ? result.log_valid_bytes - prev_begin_offset
-                             : 0;
-  {
-    DiskArrayModel log_disks(params_.disk.LogArray());
-    constexpr uint64_t kChunkWords = 64 * 1024;
-    uint64_t log_words =
-        (stats.log_bytes_read + kWordBytes - 1) / kWordBytes;
-    for (uint64_t w = 0; w < log_words; w += kChunkWords) {
-      log_disks.Submit(0.0, std::min(kChunkWords, log_words - w));
-    }
-    stats.log_read_seconds = std::max(log_disks.AllIdleTime(), 0.0);
-  }
-  stats.records_scanned += ext_frames;
-  stats.txns_redone = 0;
-  {
-    std::unordered_set<TxnId> all_committed = plan_.committed;
-    for (TxnId t : ext_committed_) all_committed.insert(t);
-    stats.txns_redone = all_committed.size();
-  }
-  stats.updates_applied += ext_full + ext_delta;
-  const double ext_instructions =
-      params_.costs.move_per_word *
-          static_cast<double>(params_.db.record_words) *
-          static_cast<double>(ext_full) +
-      (8.0 / kWordBytes) * static_cast<double>(ext_delta);
-  meter_->Charge(CpuCategory::kRecovery, ext_instructions);
-  stats.replay_cpu_seconds += params_.InstructionsToSeconds(ext_instructions);
+  stats.segments_retried = retry.size();
+  fell_back_ = true;
 
-  // The replay fan-out now spans every bucket with main OR extension
-  // frames (what blocking's longer-suffix pass 2 would have seen).
-  uint64_t fanout = 0;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    if (!plan_.buckets[b].empty() || !ext_buckets_[b].empty()) ++fanout;
-  }
-  plan_.replay_buckets = fanout;
-
-  // Fold the extension applies into every touched segment's lineage:
-  // extension frames replay BEFORE the main suffix, so they supply the
-  // first LSN and lead the stream order.
-  for (std::size_t b = 0; b < static_cast<std::size_t>(num_segments_); ++b) {
-    const ApplyStats& es = ext_stats_[b];
-    if (es.full_applies + es.delta_applies == 0) continue;
-    SegmentLineage& l = result.lineage[b];
-    l.frames += es.full_applies + es.delta_applies;
-    if (es.first_lsn != kInvalidLsn) l.first_lsn = es.first_lsn;
-    if (l.last_lsn == kInvalidLsn) l.last_lsn = es.last_lsn;
-    std::vector<uint32_t> streams = es.streams;
-    for (uint32_t st : l.streams) {
-      if (std::find(streams.begin(), streams.end(), st) == streams.end()) {
-        streams.push_back(st);
-      }
-    }
-    l.streams = std::move(streams);
-  }
-
-  fallback_prepared_ = true;
-  full_reload_ = suffix_has_delta;
-
-  if (full_reload_) {
-    // Blocking recovery probes every newest-copy segment before deciding,
-    // counts each successful read, then reloads ALL segments from the
-    // previous copy: 2N - failures modeled submissions and loads.
-    uint64_t first_pass_failures = 0;
-    std::string scratch;
-    for (SegmentId i = 0; i < num_segments_; ++i) {
-      Status st = i == s ? trigger_status
-                         : backup_->ReadSegment(plan_.restore_copy, i,
-                                                &scratch);
-      if (st.ok()) continue;
-      if (!st.IsCorruption() && !st.IsIoError()) return st;
-      ++first_pass_failures;
-    }
-    stats.segments_loaded =
-        2 * static_cast<uint64_t>(num_segments_) - first_pass_failures;
-    stats.segments_retried = num_segments_;
-    {
-      DiskArrayModel backup_disks(params_.disk);
-      for (uint64_t i = 0; i < stats.segments_loaded; ++i) {
-        backup_disks.Submit(0.0, params_.db.segment_words);
-      }
-      stats.backup_read_seconds = std::max(backup_disks.AllIdleTime(), 0.0);
-    }
-    for (SegmentId i = 0; i < num_segments_; ++i) {
-      SegmentLineage& l = result.lineage[i];
-      l.checkpoint_id = prev_id;
-      l.copy = fallback_prev_copy_;
-      l.retried = true;
-    }
-  }
-
-  stats.total_seconds = stats.backup_read_seconds + stats.log_read_seconds +
-                        stats.replay_cpu_seconds;
-
-  // Segments already served their main-suffix replay without the
-  // extension; re-materialize them so their bytes match the longer
-  // suffix (extension first, then main — log order). With full images
-  // this re-run is idempotent-converging; with deltas every segment
-  // reloads from the previous snapshot first, so it is exact.
-  for (SegmentId i = 0; i < num_segments_; ++i) {
-    if (!loaded_[i]) continue;
-    loaded_[i] = false;
-    --loaded_count_;
-    MMDB_RETURN_IF_ERROR(Materialize(i, now, LoadTrigger::kBackground));
-  }
-  if (full_reload_) {
-    // The previous snapshot must be in place for every segment before
-    // any further delta replay; load the rest of the database now.
-    for (SegmentId i = 0; i < num_segments_; ++i) {
-      if (loaded_[i] || i == s) continue;
-      MMDB_RETURN_IF_ERROR(Materialize(i, now, LoadTrigger::kBackground));
-    }
-  }
-  return Status::OK();
-}
-
-Status InstantRecovery::Materialize(SegmentId s, double now,
-                                    LoadTrigger trigger) {
-  if (s >= num_segments_) {
-    return InvalidArgumentError("segment out of range");
-  }
-  if (loaded_[s]) return Status::OK();
-  bool retried = false;
-  if (plan_.have_checkpoint) {
-    std::string image;
-    if (full_reload_) {
-      MMDB_RETURN_IF_ERROR(
-          backup_->ReadSegment(fallback_prev_copy_, s, &image));
-      retried = true;
-    } else {
-      Status st = backup_->ReadSegment(plan_.restore_copy, s, &image);
-      if (!st.ok()) {
-        // Only CRC damage and device faults are survivable via the
-        // older copy; anything else is fatal.
-        if (!st.IsCorruption() && !st.IsIoError()) return st;
-        if (!fallback_prepared_) {
-          MMDB_RETURN_IF_ERROR(PrepareFallback(st, s, now));
-          // A full reload materialized everything, this segment included.
-          if (loaded_[s]) return Status::OK();
-        }
-        Status st2 = backup_->ReadSegment(
-            full_reload_ ? fallback_prev_copy_
-                         : BackupStore::CopyFor(fallback_prev_id_),
-            s, &image);
-        if (!st2.ok()) return st2;  // neither copy readable: fatal
-        retried = true;
-      }
-    }
-    db_->WriteSegment(s, image);
-    if (retried && !full_reload_) {
-      RecoveryStats& stats = plan_.result.stats;
-      SegmentLineage& l = plan_.result.lineage[s];
-      if (!l.retried) {
-        l.checkpoint_id = fallback_prev_id_;
-        l.copy = fallback_prev_copy_;
-        l.retried = true;
-        ++stats.segments_retried;
-      }
-    }
-  }
-  if (fallback_prepared_) {
-    ApplyStats ignored;
-    MMDB_RETURN_IF_ERROR(
-        ReplayFrames(ext_buckets_[s], /*use_ext_committed=*/true, &ignored));
-  }
-  ApplyStats main_applies;
+  // Re-read the retried segments not yet loaded from the older copy: the
+  // failed set, or on a full reload the whole batch, which now holds
+  // every segment not yet loaded.
+  std::vector<SegmentFailure> retry_failures;
   MMDB_RETURN_IF_ERROR(
-      ReplayFrames(plan_.buckets[s], /*use_ext_committed=*/false,
-                   &main_applies));
-  loaded_[s] = true;
-  ++loaded_count_;
+      ReadSegments(full_reload ? *batch : retry, &retry_failures));
+  if (!retry_failures.empty()) return retry_failures.front().status;
 
-  if (!announced_[s]) {
-    announced_[s] = true;
-    const uint64_t order = load_order_++;
-    switch (trigger) {
-      case LoadTrigger::kTouch:
-        ++touch_loads_;
-        break;
-      case LoadTrigger::kBackground:
-        ++background_loads_;
-        break;
-      case LoadTrigger::kForce:
-        ++force_loads_;
-        break;
-    }
-    const SegmentLineage& l = plan_.result.lineage[s];
-    if (audit_ != nullptr) {
-      audit_->Record("recovery.segment_on_demand", now, [&](JsonWriter& w) {
-        w.Key("segment");
-        w.Uint(s);
-        w.Key("trigger");
-        w.String(TriggerName(trigger));
-        w.Key("checkpoint");
-        w.Uint(l.checkpoint_id);
-        w.Key("copy");
-        w.Uint(l.copy);
-        w.Key("retried");
-        w.Bool(l.retried);
-        w.Key("frames");
-        w.Uint(l.frames);
-        w.Key("order");
-        w.Uint(order);
-      });
-    }
-    if (tracer_ != nullptr) {
-      const bool scheduled = availability_[s] >= 0.0;
-      const double submit = scheduled ? submit_time_[s] : now;
-      const double avail =
-          scheduled ? std::max(availability_[s], submit) : now;
-      tracer_->Record(TraceEventType::kRecoverySegmentOnDemand, submit, avail,
-                      static_cast<int64_t>(s),
-                      static_cast<int64_t>(trigger),
-                      static_cast<int64_t>(order));
-    }
-    if (metrics_ != nullptr) {
-      metrics_->counter("recovery.segments_on_demand")->Increment();
-    }
-  }
-  (void)main_applies;
+  // The modeled stats follow blocking recovery's count: one read per
+  // newest-copy survivor plus one per retry, all at the crash instant.
+  MMDB_RETURN_IF_ERROR(planner_.PlanReplay(db_, prev_begin_offset, &plan_));
+  planner_.ModelPhases(num_segments_ - failures.size() + retry.size(),
+                       &plan_);
   return Status::OK();
 }
 
-void InstantRecovery::PublishFinal(double crash_now) {
-  RecoveryManager::Publish(metrics_, tracer_, plan_.result.stats, crash_now,
-                           plan_.replay_buckets);
+Status InstantRecovery::ReplaySegments(const std::vector<SegmentId>& ids) {
+  RecoveryStats& stats = plan_.result.stats;
+  // Buckets touch disjoint byte ranges of the primary and the committed
+  // set is read-only, so segments replay concurrently and the restored
+  // bytes are identical to sequential replay. The plan validated every
+  // bucketed frame, so an error here means the log changed underneath.
+  return planner_.FanOut(
+      ids.size(),
+      [&](std::size_t begin, std::size_t end) -> Status {
+        for (std::size_t i = begin; i < end; ++i) {
+          RecoveryManager::ReplayTally tally;
+          MMDB_RETURN_IF_ERROR(RecoveryManager::ReplayBucket(
+              plan_.reader, plan_.buckets[ids[i]], plan_.committed, db_,
+              &tally));
+        }
+        return Status::OK();
+      },
+      &stats, &stats.replay_wall_seconds, /*use_pool=*/!serving_);
+}
+
+void InstantRecovery::Announce(SegmentId s, LoadTrigger trigger, double now) {
+  if (!clock_started_) return;
+  const uint64_t order = load_order_++;
+  switch (trigger) {
+    case LoadTrigger::kTouch:
+      ++touch_loads_;
+      break;
+    case LoadTrigger::kBackground:
+      ++background_loads_;
+      break;
+    case LoadTrigger::kForce:
+      ++force_loads_;
+      break;
+  }
+  const SegmentLineage& l = plan_.result.lineage[s];
+  if (planner_.audit_ != nullptr) {
+    planner_.audit_->Record(
+        "recovery.segment_on_demand", now, [&](JsonWriter& w) {
+          w.Key("segment");
+          w.Uint(s);
+          w.Key("trigger");
+          w.String(TriggerName(trigger));
+          w.Key("checkpoint");
+          w.Uint(l.checkpoint_id);
+          w.Key("copy");
+          w.Uint(l.copy);
+          w.Key("retried");
+          w.Bool(l.retried);
+          w.Key("frames");
+          w.Uint(l.frames);
+          w.Key("order");
+          w.Uint(order);
+        });
+  }
+  if (planner_.tracer_ != nullptr) {
+    const bool scheduled = availability_[s] >= 0.0;
+    const double submit = scheduled ? submit_time_[s] : now;
+    const double avail = scheduled ? std::max(availability_[s], submit) : now;
+    planner_.tracer_->Record(TraceEventType::kRecoverySegmentOnDemand, submit,
+                             avail, static_cast<int64_t>(s),
+                             static_cast<int64_t>(trigger),
+                             static_cast<int64_t>(order));
+  }
+  if (planner_.metrics_ != nullptr) {
+    planner_.metrics_->counter("recovery.segments_on_demand")->Increment();
+  }
+}
+
+void InstantRecovery::Finish() {
+  planner_.Publish(plan_);
+  const RecoveryResult& r = plan_.result;
+  AuditJournal* audit = planner_.audit_;
+  if (audit != nullptr) {
+    audit->Record("recovery.lineage", plan_.crash_time, [&](JsonWriter& w) {
+      w.Key("lineage");
+      WriteLineageJson(r.lineage, &w);
+    });
+    audit->Record("recovery.end", plan_.crash_time, [&](JsonWriter& w) {
+      w.Key("checkpoint");
+      w.Uint(r.stats.checkpoint_id);
+      w.Key("copy");
+      w.Uint(r.stats.copy);
+      w.Key("fell_back");
+      w.Bool(r.stats.fell_back_to_older_copy);
+      w.Key("last_lsn");
+      w.Uint(r.last_lsn);
+      w.Key("applies");
+      w.Uint(r.stats.updates_applied);
+      w.Key("txns");
+      w.Uint(r.stats.txns_redone);
+    });
+    audit->Sync();
+  }
 }
 
 }  // namespace mmdb

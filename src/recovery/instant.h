@@ -3,17 +3,11 @@
 
 #include <cstdint>
 #include <queue>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "backup/backup_store.h"
-#include "obs/audit.h"
-#include "obs/metrics_registry.h"
-#include "obs/trace.h"
 #include "recovery/recovery_manager.h"
-#include "sim/cost_model.h"
-#include "sim/cpu_meter.h"
 #include "sim/disk_model.h"
 #include "storage/database.h"
 #include "util/status.h"
@@ -21,37 +15,48 @@
 
 namespace mmdb {
 
-// On-demand segment recovery against an InstantRecoveryPlan (DESIGN.md
-// §19). Owns the modeled backup disk array for the restart and decides,
-// per segment, WHEN its backup reload completes on the virtual timeline
-// (the schedule) and WHAT bytes it holds afterwards (materialization:
-// backup read + bucketed REDO replay, including the segment-granular
-// older-copy fallback). The two are deliberately orthogonal:
+// Materializes segments against an InstantRecoveryPlan (DESIGN.md §19):
+// the one mechanism behind both restart schedules. It owns the modeled
+// backup disk array for the restart and decides, per segment, WHEN its
+// backup reload completes on the virtual timeline (the schedule) and WHAT
+// bytes it holds afterwards (materialization). The two are deliberately
+// orthogonal:
 //
-//   - The SCHEDULE is pure virtual-clock arithmetic on the same disk
-//     array blocking recovery would have used: StartClock submits the
-//     first `num_disks` segment reads at the restart instant, and each
-//     completion immediately submits the next pending segment in
-//     access-priority order (observed touch count descending, then
-//     ascending segment id). Touch() queue-jumps an unsubmitted segment
-//     to the front. Because every device is kept busy until the pending
-//     set drains, the LAST completion lands exactly at
-//     restart + backup_read_seconds regardless of the order in between —
-//     which is why time_to_full_recovery equals the blocking path's
-//     backup phase and the modeled stats stay bit-identical.
+//   - MATERIALIZATION moves the actual bytes and consumes no virtual time:
+//     the plan already charged the replay CPU and computed the phase
+//     durations in closed form. It works in batches, each in two phases
+//     over the same chunks (RecoveryManager::FanOut). Phase 1 reads every
+//     segment of the batch from the backup copy its lineage names and
+//     collects every CRC or I/O failure; if any failed, the older-copy
+//     fallback runs once with the whole failed set. Phase 2 replays each
+//     segment's frame bucket. Buckets are per-segment log-order frame
+//     lists, so one segment's replay never depends on another's and
+//     batches may come in any order. A batch that no transaction waits on
+//     (MaterializeAll, and every batch once CompleteSchedule has run: the
+//     drain) fans out over the planner's thread pool. While the instant
+//     schedule serves transactions, batches run inline on the engine
+//     thread: a stalled transaction then waits the same time whatever the
+//     host's idle cores, as the serving window's latency should.
 //
-//   - MATERIALIZATION moves the actual bytes (Env reads + WriteRecord)
-//     and consumes no virtual time: the plan already charged the replay
-//     CPU and computed the phase durations in closed form. Materialize
-//     is idempotent per segment and safe in any order — buckets are
-//     per-segment log-order frame lists, so one segment's replay never
-//     depends on another's.
+//   - The SCHEDULE picks the batches. The blocking schedule is one batch
+//     of every segment (MaterializeAll) before the engine admits anything.
+//     The instant schedule is pure virtual-clock arithmetic on the same
+//     disk array: StartClock submits the first `num_disks` segment reads
+//     at the restart instant, each completion immediately submits the next
+//     pending segment in access-priority order (observed touch count
+//     descending, then ascending segment id), and Touch() queue-jumps an
+//     unsubmitted segment to the front. Because every device is kept busy
+//     until the pending set drains, the LAST completion lands exactly at
+//     restart + backup_read_seconds regardless of the order in between.
+//     The engine batches whatever is touched (Touch + Materialize) or due
+//     (MaterializeDue after an AdvanceTime, and DrainRecovery).
 //
-// The engine drives both: transaction admission calls Touch (advancing
-// its clock to the availability time = the recovery_wait stall), the
-// post-AdvanceTime sweep calls MaterializeDue for segments whose
-// background reload has completed, and DrainRecovery calls
-// CompleteSchedule + MaterializeDue to finish the restart.
+// Under the instant schedule each segment's load is journaled
+// (recovery.segment_on_demand) and traced serially in batch order, so
+// `order` fields and dumps are deterministic. The outcome events
+// (recovery.fallback, recovery.lineage, recovery.end) and the registry
+// and trace summary are emitted from here once per recovery, stamped with
+// the crash instant under both schedules.
 class InstantRecovery {
  public:
   // Why a segment is being materialized, journaled per segment in the
@@ -62,14 +67,13 @@ class InstantRecovery {
     kForce = 2,       // diagnostic raw read (no clock movement)
   };
 
-  // All pointers are borrowed and must outlive this object. `metrics`,
-  // `tracer` and `audit` may be null.
-  InstantRecovery(InstantRecoveryPlan plan, const SystemParams& params,
-                  BackupStore* backup, Database* db, CpuMeter* meter,
-                  MetricsRegistry* metrics, Tracer* tracer,
-                  AuditJournal* audit);
+  // `planner` supplies the parameters, the thread pool and the
+  // observability sinks. `backup` and `db` are borrowed and must outlive
+  // this object.
+  InstantRecovery(InstantRecoveryPlan plan, const RecoveryManager& planner,
+                  BackupStore* backup, Database* db);
 
-  // Starts the restart schedule at virtual time `now` (the clock position
+  // Starts the instant schedule at virtual time `now` (the clock position
   // right after OpenExisting returns): submits the first window of
   // background reloads. Cold start (no checkpoint) makes every segment
   // available immediately at `now`.
@@ -84,16 +88,21 @@ class InstantRecovery {
   // then calls Materialize.
   double Touch(SegmentId s, double now);
 
-  // Loads segment `s` NOW (backup read + REDO replay of its bucket),
-  // falling back to the older copy on CRC/IO damage exactly as blocking
-  // recovery does — refining stats and lineage identically. Idempotent;
-  // `now` is only journaled. Errors are fatal to the restart (neither
-  // copy readable, or the log was damaged since planning).
-  Status Materialize(SegmentId s, double now, LoadTrigger trigger);
+  // Loads the not-yet-loaded segments of `segs` (distinct ids) NOW as one
+  // batch. A fallback widens the batch to every segment not yet loaded:
+  // the failed set must be complete, as blocking recovery sees it, before
+  // the restore source can change. Idempotent per segment; `now` only
+  // stamps the on-demand events. An error is fatal to the restart
+  // (neither copy readable) and every later call returns it.
+  Status Materialize(const std::vector<SegmentId>& segs, double now,
+                     LoadTrigger trigger);
 
   // Materializes every segment whose scheduled background reload has
   // completed by `now`. Called from the engine's AdvanceTime sweep.
   Status MaterializeDue(double now);
+
+  // The blocking schedule: every segment in one batch.
+  Status MaterializeAll();
 
   // Runs the remaining schedule to completion and returns the virtual
   // time of the last reload (== start + backup_read_seconds). Does NOT
@@ -101,12 +110,17 @@ class InstantRecovery {
   // MaterializeDue. Idempotent.
   double CompleteSchedule();
 
+  // Publishes the registry counters and phase trace events and journals
+  // recovery.lineage and recovery.end, all at the crash instant. Call
+  // once, after AllLoaded().
+  void Finish();
+
   bool AllLoaded() const { return loaded_count_ == num_segments_; }
   uint64_t pending_segments() const { return num_segments_ - loaded_count_; }
-  bool fell_back() const { return fallback_prepared_; }
+  bool fell_back() const { return fell_back_; }
   double start_time() const { return start_; }
 
-  // Live views of the plan's result; fallback refines stats/lineage.
+  // Live views of the plan's result; a fallback refines stats/lineage.
   const RecoveryResult& result() const { return plan_.result; }
   const RecoveryStats& stats() const { return plan_.result.stats; }
 
@@ -115,12 +129,12 @@ class InstantRecovery {
   uint64_t background_loads() const { return background_loads_; }
   uint64_t force_loads() const { return force_loads_; }
 
-  // Registry counters/timers and trace events for the finished recovery,
-  // with the same shapes and the crash-time `now` the blocking path uses.
-  // Call once, after AllLoaded().
-  void PublishFinal(double crash_now);
-
  private:
+  struct SegmentFailure {
+    SegmentId segment;
+    Status status;
+  };
+
   // Pops schedule completions up to `t`, refilling each freed device with
   // the highest-priority pending segment.
   void AdvanceScheduleTo(double t);
@@ -130,42 +144,40 @@ class InstantRecovery {
   // num_segments_ when none remain.
   SegmentId PickNextPending() const;
 
-  // First newest-copy failure: locate the previous checkpoint's begin
-  // marker, scan/validate the extension frames into per-segment buckets,
-  // and refine the modeled stats exactly as blocking recovery's fallback
-  // would (longer log suffix, extended scan counts). Once per restart.
-  Status PrepareFallback(const Status& trigger_status, SegmentId s,
-                         double now);
-
-  struct ApplyStats {
-    uint64_t full_applies = 0;
-    uint64_t delta_applies = 0;
-    Lsn first_lsn = kInvalidLsn;
-    Lsn last_lsn = kInvalidLsn;
-    std::vector<uint32_t> streams;
-  };
-  // REDO-replays `frames` (log order) into the primary. `use_ext_committed`
-  // additionally honors commits found in the fallback extension.
-  Status ReplayFrames(const std::vector<std::size_t>& frames,
-                      bool use_ext_committed, ApplyStats* out);
+  // Phase 1: reads each of `ids` from the copy its lineage names into the
+  // primary, in parallel. Failures are collected in `ids` order, not
+  // failed fast, so the outcome is independent of worker scheduling.
+  Status ReadSegments(const std::vector<SegmentId>& ids,
+                      std::vector<SegmentFailure>* failures);
+  // The older-copy fallback, once per restart, given the failed reads of
+  // `batch`: completes the failed set over the segments not yet loaded,
+  // widening `batch` to all of them; restores the previous checkpoint's
+  // copy for the failed set (for the whole batch when the longer suffix
+  // holds DELTA records); and re-plans the replay from that checkpoint's
+  // begin marker.
+  Status FallBack(std::vector<SegmentFailure> failures,
+                  std::vector<SegmentId>* batch);
+  // Phase 2: replays each of `ids`'s frame bucket, in parallel.
+  Status ReplaySegments(const std::vector<SegmentId>& ids);
+  // Journals and traces `s`'s load (instant schedule only).
+  void Announce(SegmentId s, LoadTrigger trigger, double now);
 
   InstantRecoveryPlan plan_;
-  SystemParams params_;
+  const RecoveryManager planner_;
   BackupStore* backup_;
   Database* db_;
-  CpuMeter* meter_;
-  MetricsRegistry* metrics_;
-  Tracer* tracer_;
-  AuditJournal* audit_;
 
   SegmentId num_segments_ = 0;
   double start_ = 0.0;
-  bool clock_started_ = false;
-  bool schedule_complete_ = false;
+  bool clock_started_ = false;  // the instant schedule is running
+  // Transactions are admitted and wait on each batch: from a warm
+  // StartClock until CompleteSchedule. Batches then run inline on the
+  // engine thread (see the class comment).
+  bool serving_ = false;
   double last_completion_ = 0.0;  // max availability ever scheduled
 
-  // The restart's backup array: same parameters, fresh state — exactly
-  // the array blocking recovery's phase 2 would have used.
+  // The restart's backup array: same parameters, fresh state — the array
+  // the modeled backup phase assumes.
   DiskArrayModel disks_;
 
   // Per-segment state. availability_ < 0 = not yet submitted.
@@ -184,26 +196,11 @@ class InstantRecovery {
   // not be materialized yet — MaterializeDue's work list.
   std::vector<SegmentId> due_;
 
-  // Older-copy fallback state (lazy; see PrepareFallback).
-  bool fallback_prepared_ = false;
-  // DELTA records in the longer suffix forced a full reload from the
-  // previous copy (every segment's provenance switches).
-  bool full_reload_ = false;
-  CheckpointId fallback_prev_id_ = 0;
-  uint32_t fallback_prev_copy_ = 0;
-  // Extension [prev begin marker, main begin marker): per-segment frame
-  // buckets, the commits found there (unioned with the plan's set when
-  // replaying extension frames), and the per-segment apply tallies the
-  // eager validation pass computed.
-  std::vector<std::vector<std::size_t>> ext_buckets_;
-  std::unordered_set<TxnId> ext_committed_;
-  std::vector<ApplyStats> ext_stats_;
+  bool fell_back_ = false;
+  // First fatal materialization error; sticky.
+  Status failed_;
 
-  // Whether a segment's first materialization has been journaled/traced —
-  // fallback re-materializations must not re-announce.
-  std::vector<bool> announced_;
-
-  uint64_t load_order_ = 0;  // materialization ordinal (first-touch order)
+  uint64_t load_order_ = 0;  // materialization ordinal (first-load order)
   uint64_t touch_loads_ = 0;
   uint64_t background_loads_ = 0;
   uint64_t force_loads_ = 0;

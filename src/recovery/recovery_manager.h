@@ -1,7 +1,9 @@
 #ifndef MMDB_RECOVERY_RECOVERY_MANAGER_H_
 #define MMDB_RECOVERY_RECOVERY_MANAGER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -30,13 +32,13 @@ namespace mmdb {
 //
 // Two clocks coexist here. The modeled fields (backup_read_seconds,
 // log_read_seconds, replay_cpu_seconds, total_seconds) are virtual-clock
-// quantities computed from the cost model and are BIT-IDENTICAL for any
-// recovery_threads setting — parallelizing the real work does not change
-// what the simulated 1989 hardware would have done. The wall fields
-// (`*_wall_seconds`, `thread_busy_seconds`) measure the real CPU doing
-// that work and are the quantity recovery_bench sweeps; they are
-// machine-dependent and excluded from every determinism comparison
-// (IsWallClockField in obs/bench_diff.h).
+// quantities computed in closed form from the cost model and are
+// BIT-IDENTICAL for any recovery_threads setting and for either schedule
+// (blocking or instant) — parallelizing or reordering the real work does
+// not change what the simulated 1989 hardware would have done. The wall
+// fields (`*_wall_seconds`, `thread_busy_seconds`) measure the real CPU
+// doing that work; they are machine-dependent and excluded from every
+// determinism comparison (IsWallClockField in obs/bench_diff.h).
 struct RecoveryStats {
   CheckpointId checkpoint_id = 0;  // checkpoint restored (0 = cold start)
   uint32_t copy = 0;
@@ -66,12 +68,20 @@ struct RecoveryStats {
   bool fell_back_to_older_copy = false;
 
   // --- real wall clock (machine-dependent; see the struct comment) ------
-  uint32_t threads_used = 1;           // 1 = exact legacy serial path
-  double backup_read_wall_seconds = 0.0;
-  double log_scan_wall_seconds = 0.0;  // classification scan (pass 1)
-  double replay_wall_seconds = 0.0;    // partitioned REDO apply (pass 2)
-  // Per-thread busy time summed across the three phases: slot i is pool
-  // worker i (serial path: one slot, the calling thread).
+  // Each field sums its phase over every batch of the restart (one batch
+  // under the blocking schedule, one per touch or background sweep under
+  // the instant one).
+  uint32_t threads_used = 1;           // pool width; 1 = inline, no pool
+  double backup_read_wall_seconds = 0.0;  // phase 1: backup reads + CRC
+  // Planning the log suffix: the classification scan plus the plan's
+  // validation decode of every bucketed frame (re-run over the longer
+  // suffix after an older-copy fallback).
+  double log_scan_wall_seconds = 0.0;
+  double replay_wall_seconds = 0.0;  // phase 2: bucketed REDO apply
+  // Per-thread busy time summed across every chunked phase (the scan,
+  // backup reads, replay; not the serial validation walk): slot i is pool
+  // worker i; chunks run inline (no pool, or a batch a transaction waits
+  // on) count in slot 0.
   std::vector<double> thread_busy_seconds;
 };
 
@@ -96,153 +106,149 @@ struct RecoveryResult {
   std::vector<SegmentLineage> lineage;
 };
 
-// Everything instant recovery (DESIGN.md §19) needs to serve transactions
-// before a single segment byte has been reloaded: the merged immutable log
-// snapshot, the committed set, the per-segment REDO frame buckets, the
-// restore decision, and a RecoveryResult whose modeled stats and lineage
-// already equal what blocking recovery would have produced on the clean
-// path (the closed-form quantities need no segment bytes). Produced by
-// RecoveryManager::PlanInstant and consumed by InstantRecovery, which
-// materializes segments on demand against this plan.
+// Everything a restart needs before a single segment byte is reloaded
+// (DESIGN.md §19): the merged immutable log snapshot, the committed set,
+// the per-segment REDO frame buckets, the restore decision, and a
+// RecoveryResult whose modeled stats and lineage are already final for
+// the clean path (the phase costs are closed-form and need no segment
+// bytes). Produced by RecoveryManager::PlanInstant and consumed by
+// InstantRecovery, which materializes segments against it under either
+// schedule; an older-copy fallback re-plans it over the longer suffix.
 struct InstantRecoveryPlan {
-  // Fully populated clean-path outputs: modeled stats, last LSN, stream
-  // offsets, newest end id, and per-segment lineage. A mid-service
-  // older-copy fallback later refines stats and the failed segment's
-  // lineage entry (exactly as blocking recovery's fallback would).
   RecoveryResult result;
 
-  // Placeholder-initialized (an empty log) until PlanInstantImpl moves
-  // the merged stream view in; LogReader has no default constructor.
+  // Placeholder-initialized (an empty log) until PlanInstant moves the
+  // merged stream view in; LogReader has no default constructor.
   LogReader reader{std::string()};
   bool have_checkpoint = false;
   CheckpointId restore_id = 0;
   uint32_t restore_copy = 0;
   uint64_t replay_from_offset = 0;
-  // Frame index of replay_from_offset in `reader` (0 when the log is
-  // empty) — the start of the main replay suffix.
-  std::size_t start_frame = 0;
+  // The crash instant recovery started at: the modeled phases are
+  // anchored here (float subtraction is not translation-invariant) and
+  // every recovery outcome event is stamped with it.
+  double crash_time = 0.0;
   // Transactions with a commit record in the replay suffix.
   std::unordered_set<TxnId> committed;
   // Per-segment frame indices of the suffix's UPDATE/DELTA records in log
-  // order, plus one overflow bucket (index num_segments) that eager
-  // validation has proven holds only uncommitted frames.
+  // order, plus one overflow bucket (index num_segments) that validation
+  // has proven holds only uncommitted frames.
   std::vector<std::vector<std::size_t>> buckets;
-  // Non-empty bucket count (the blocking path's replay fan-out width),
-  // recorded in the kRecoveryFanout trace event at finalization.
+  // Non-empty bucket count (the replay fan-out width), recorded in the
+  // kRecoveryFanout trace event at finalization.
   uint64_t replay_buckets = 0;
+  // Replay instructions charged to the CPU meter so far (a re-plan
+  // charges only the difference).
+  double replay_instructions = 0.0;
 };
 
-// Rebuilds the primary (memory-resident) database after a system failure
-// (Section 3.3): loads the last complete backup copy named by the
-// checkpoint metadata, then REDO-replays the log forward from that
-// checkpoint's begin marker, applying the updates of committed
-// transactions only. Works identically for every checkpoint algorithm —
-// fuzzy backups are repaired by the same replay that rolls consistent
-// backups forward.
+// Plans the rebuild of the primary (memory-resident) database after a
+// system failure (Section 3.3): picks the last complete backup copy named
+// by the checkpoint metadata and the log, then classifies and validates
+// the log suffix from that checkpoint's begin marker into per-segment
+// REDO buckets of committed transactions' updates. Works identically for
+// every checkpoint algorithm — fuzzy backups are repaired by the same
+// replay that rolls consistent backups forward.
 //
 // Cold start: if no checkpoint ever completed, the database is rebuilt
 // from an empty image by replaying the entire log.
 //
-// Parallel pipeline (DESIGN.md §14): when constructed with a ThreadPool
-// the three data-heavy stages fan out — segment reloads are chunked
-// across workers (segments are independent byte ranges), the
-// classification scan decodes disjoint frame ranges concurrently, and
-// REDO replay is partitioned by segment id (updates to one segment stay
-// in log order, so the restored bytes are identical to sequential
-// replay). The serial path (null pool) runs the SAME algorithm inline
-// over the same chunk decomposition, which is why every deterministic
+// The plan is the whole of recovery's decision-making; InstantRecovery
+// then moves the bytes. A blocking restart materializes every segment in
+// one batch; an instant restart materializes segments as they are
+// touched or their background reload comes due. Both fan their work out
+// over the same optional ThreadPool in chunks (DESIGN.md §19): the
+// classification scan decodes disjoint frame ranges, validation and
+// replay are partitioned by segment (updates to one segment stay in log
+// order), and backup reads cover independent byte ranges. Without a pool
+// the SAME chunk decomposition runs inline, which is why every modeled
 // stat is bit-identical across thread counts.
 class RecoveryManager {
  public:
-  // `metrics` and `tracer` are optional sinks for the phase breakdown
-  // (backup reload vs log read vs replay); either may be null. `pool` is
-  // an optional worker pool for the parallel pipeline — null selects the
-  // serial path. The pool is borrowed, not owned, and may serve many
-  // recoveries.
+  // `metrics`, `tracer` and `audit` are optional sinks (any may be null):
+  // the registry counters and phase trace events of a finished recovery,
+  // and the provenance journal (DESIGN.md §18). `pool` is an optional
+  // worker pool — null runs every phase inline. All are borrowed, not
+  // owned; the pool may serve many recoveries.
   RecoveryManager(Env* env, const SystemParams& params, CpuMeter* meter,
                   MetricsRegistry* metrics = nullptr, Tracer* tracer = nullptr,
-                  ThreadPool* pool = nullptr);
+                  ThreadPool* pool = nullptr, AuditJournal* audit = nullptr);
 
-  // `backup` must be Open()ed; `db`/`segments` are overwritten. `now` is
-  // the virtual time at which recovery starts (the crash instant).
-  // `log_paths` is the per-shard stream file list (one path = the classic
-  // single log); the streams are LSN-merged into one logical log before
-  // the usual three-phase replay, so every downstream step — marker
-  // reconciliation, offset arithmetic, partitioned REDO — is stream-count
-  // agnostic.
-  StatusOr<RecoveryResult> Recover(BackupStore* backup,
-                                   const std::vector<std::string>& log_paths,
-                                   Database* db, SegmentTable* segments,
-                                   double now);
-
-  // Single-stream convenience overload (the pre-shard signature).
-  StatusOr<RecoveryResult> Recover(BackupStore* backup,
-                                   const std::string& log_path, Database* db,
-                                   SegmentTable* segments, double now) {
-    return Recover(backup, std::vector<std::string>{log_path}, db, segments,
-                   now);
-  }
-
-  // Instant-recovery entry point (DESIGN.md §19): runs phase 1 (stream
-  // merge, metadata/log reconciliation) plus the classification scan and
-  // an eager validation pass over every bucketed frame, but reads NO
-  // segment bytes and applies NO update. The returned plan's modeled
-  // stats are bit-identical to what Recover() computes on the clean path
-  // — phase costs are closed-form in the cost model — and the recovery
-  // CPU is charged to the meter here, once. `segments` is reset to the
-  // conservative post-recovery control state (all dirty). On failure the
-  // same recovery.error event Recover() would journal is journaled; on
-  // success the audit chain is left OPEN — the engine journals the
-  // lineage and recovery.end when the on-demand drain completes.
+  // Runs phase 1 (stream merge, metadata/log reconciliation) plus the
+  // classification scan and an eager validation pass over every bucketed
+  // frame, but reads NO segment bytes and applies NO update. `backup`
+  // must be Open()ed; `db` is cleared and `segments` reset to the
+  // conservative post-recovery control state (all dirty). `now` is the
+  // crash instant. `log_paths` is the per-shard stream file list (one
+  // path = the classic single log); the streams are LSN-merged into one
+  // logical log, so every later step is stream-count agnostic. The
+  // recovery CPU is charged to the meter here. Journals recovery.streams
+  // and recovery.plan; the caller journals the outcome.
   StatusOr<InstantRecoveryPlan> PlanInstant(
       BackupStore* backup, const std::vector<std::string>& log_paths,
       Database* db, SegmentTable* segments, double now);
 
-  // Optional provenance journal (DESIGN.md §18). When set, Recover()
-  // journals the stream merge outcome, the restore plan, any older-copy
-  // fallback, the per-segment lineage, and the final outcome (or error).
-  // Journaling never changes modeled stats or the recovered bytes.
-  void set_audit(AuditJournal* audit) { audit_ = audit; }
-
-  // Registry counters/timers and trace events for a finished recovery
-  // (blocking: called at the end of Recover; instant: called once by the
-  // engine when the on-demand drain completes, with the crash-time `now`
-  // so the trace timeline matches the blocking path's).
-  static void Publish(MetricsRegistry* metrics, Tracer* tracer,
-                      const RecoveryStats& stats, double now,
-                      uint64_t replay_buckets);
-
   // The worker count recovery should use: the MMDB_RECOVERY_THREADS
   // environment variable (a positive count) when set and parseable,
   // otherwise `configured` (EngineOptions::recovery_threads), with 0
-  // meaning hardware concurrency. Always >= 1; 1 = serial path.
+  // meaning hardware concurrency. Always >= 1; 1 = no pool.
   static uint32_t ResolveThreads(uint32_t configured);
 
  private:
-  // Phase-1 outcome shared by the blocking and instant paths: the merged
-  // reader plus the restore decision (which checkpoint/copy, where replay
-  // starts). BuildRestorePlan also clears the primary, journals the
-  // recovery.streams / recovery.plan events, repairs lagging metadata,
-  // and seeds `result`'s lineage.
-  struct RestorePlan {
-    LogReader reader;
-    bool have_checkpoint = false;
-    CheckpointId restore_id = 0;
-    uint32_t restore_copy = 0;
-    uint64_t replay_from_offset = 0;
+  friend class InstantRecovery;
+
+  // Per-segment outcome of replaying (or validating) one frame bucket.
+  struct ReplayTally {
+    uint64_t full_applies = 0;
+    uint64_t delta_applies = 0;
+    // Applied-record LSN span and source streams in first-touch (log)
+    // order — the replay half of the segment's lineage.
+    Lsn first_lsn = kInvalidLsn;
+    Lsn last_lsn = kInvalidLsn;
+    std::vector<uint32_t> streams;
+    std::size_t error_frame = SIZE_MAX;  // frame of the failure, if any
   };
-  StatusOr<RestorePlan> BuildRestorePlan(
-      BackupStore* backup, const std::vector<std::string>& log_paths,
-      Database* db, double now, RecoveryResult* result);
-  // The three-phase body; Recover() wraps it to journal the outcome
-  // (recovery.lineage + recovery.end on success, recovery.error on
-  // failure) exactly once per attempt.
-  StatusOr<RecoveryResult> RecoverImpl(
-      BackupStore* backup, const std::vector<std::string>& log_paths,
-      Database* db, SegmentTable* segments, double now);
-  StatusOr<InstantRecoveryPlan> PlanInstantImpl(
-      BackupStore* backup, const std::vector<std::string>& log_paths,
-      Database* db, SegmentTable* segments, double now);
+  // Decodes data frame `frame` and, if its transaction committed, checks
+  // it against the database geometry and adds it to `out`; with `apply`
+  // also writes it into `db`. On failure sets out->error_frame.
+  static Status ReplayFrame(const LogReader& reader, std::size_t frame,
+                            const std::unordered_set<TxnId>& committed,
+                            Database* db, bool apply, ReplayTally* out);
+  // ReplayFrame with `apply` over `frames` (one segment's bucket, log
+  // order). Stops at the first bad frame.
+  static Status ReplayBucket(const LogReader& reader,
+                             const std::vector<std::size_t>& frames,
+                             const std::unordered_set<TxnId>& committed,
+                             Database* db, ReplayTally* out);
+
+  // (Re)builds the plan's replay half from the suffix starting at
+  // `from_offset`: committed set, buckets, last LSN, scan/apply counts,
+  // the lineage replay fields, and the replay CPU (charging the meter the
+  // difference from what the plan already charged).
+  Status PlanReplay(Database* db, uint64_t from_offset,
+                    InstantRecoveryPlan* plan) const;
+  // The modeled phase durations for `backup_reads` segment reads
+  // submitted at the crash instant, followed by the log suffix from the
+  // plan's replay offset streamed in fixed chunks from where the backup
+  // reads finished, plus the replay CPU. Call after PlanReplay.
+  void ModelPhases(uint64_t backup_reads, InstantRecoveryPlan* plan) const;
+
+  // Runs body(begin, end) over [0, n) in ChunkFor(n)-sized chunks on the
+  // pool (inline, over the same chunks, without one or when `use_pool` is
+  // false), adding the elapsed wall time to `*wall` and each chunk's busy
+  // time to its worker's slot in `stats`. Returns the first error in
+  // chunk order.
+  Status FanOut(std::size_t n,
+                const std::function<Status(std::size_t, std::size_t)>& body,
+                RecoveryStats* stats, double* wall, bool use_pool) const;
+  // ~4 chunks per worker: coarse enough to amortize enqueueing, fine
+  // enough that a straggler cannot idle the pool for long. The
+  // decomposition never affects results — every merge is by index or a
+  // commutative reduction.
+  std::size_t ChunkFor(std::size_t n) const;
+
+  // Registry counters/timers and trace events for a finished recovery.
+  void Publish(const InstantRecoveryPlan& plan) const;
 
   Env* env_;
   SystemParams params_;
@@ -250,7 +256,8 @@ class RecoveryManager {
   MetricsRegistry* metrics_;
   Tracer* tracer_;
   ThreadPool* pool_;
-  AuditJournal* audit_ = nullptr;
+  AuditJournal* audit_;
+  uint32_t threads_;
 };
 
 }  // namespace mmdb

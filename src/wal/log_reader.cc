@@ -270,6 +270,12 @@ StatusOr<LogRecord> LogReader::RecordAtIndex(size_t i) const {
   return record;
 }
 
+Status LogReader::DataRecordAt(size_t i, DataRecordView* out) const {
+  const FrameRef& f = index_[i];
+  return DataRecordView::DecodeFrom(
+      std::string_view(contents_.data() + f.offset + 4, f.payload_size), out);
+}
+
 Status LogReader::ScanForward(
     uint64_t from_offset,
     const std::function<bool(const LogRecord&, uint64_t)>& fn) const {

@@ -125,6 +125,10 @@ class LogReader {
   // Full decode of frame `i`.
   StatusOr<LogRecord> RecordAtIndex(size_t i) const;
 
+  // Zero-copy decode of data frame `i` (UPDATE or DELTA); the view's image
+  // points into this reader.
+  Status DataRecordAt(size_t i, DataRecordView* out) const;
+
   // Invokes `fn(record, frame_offset)` for each record from the frame at
   // `from_offset` (which must be a frame boundary, typically 0 or an offset
   // saved in checkpoint metadata) to the end. `fn` returns false to stop.

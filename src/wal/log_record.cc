@@ -57,22 +57,67 @@ LogRecord LogRecord::EndCheckpoint(CheckpointId id) {
   return r;
 }
 
-Status LogRecordHeader::DecodeFrom(std::string_view payload,
-                                   LogRecordHeader* out) {
-  *out = LogRecordHeader();
-  if (payload.empty()) return CorruptionError("empty log record payload");
-  uint8_t raw_type = static_cast<uint8_t>(payload.front());
-  payload.remove_prefix(1);
+namespace {
+
+// The prefix every payload carries: type, lsn, txn.
+Status DecodePrefix(std::string_view* payload, LogRecordType* type, Lsn* lsn,
+                    TxnId* txn_id) {
+  if (payload->empty()) return CorruptionError("empty log record payload");
+  uint8_t raw_type = static_cast<uint8_t>(payload->front());
+  payload->remove_prefix(1);
   if (raw_type < static_cast<uint8_t>(LogRecordType::kUpdate) ||
       raw_type > static_cast<uint8_t>(LogRecordType::kDelta)) {
     return CorruptionError(
         StringPrintf("unknown log record type %u", raw_type));
   }
-  out->type = static_cast<LogRecordType>(raw_type);
-  if (!GetVarint64(&payload, &out->lsn) ||
-      !GetVarint64(&payload, &out->txn_id)) {
+  *type = static_cast<LogRecordType>(raw_type);
+  if (!GetVarint64(payload, lsn) || !GetVarint64(payload, txn_id)) {
     return CorruptionError("truncated log record header");
   }
+  return Status::OK();
+}
+
+// The rest of an UPDATE or DELTA payload after the prefix; out->type must
+// already be set.
+Status DecodeDataBody(std::string_view* payload, DataRecordView* out) {
+  switch (out->type) {
+    case LogRecordType::kUpdate:
+      if (!GetVarint64(payload, &out->record_id) ||
+          !GetLengthPrefixed(payload, &out->image)) {
+        return CorruptionError("truncated update record");
+      }
+      return Status::OK();
+    case LogRecordType::kDelta: {
+      uint64_t raw_delta;
+      if (!GetVarint64(payload, &out->record_id) ||
+          !GetVarint32(payload, &out->field_offset) ||
+          !GetFixed64(payload, &raw_delta)) {
+        return CorruptionError("truncated delta record");
+      }
+      out->delta = static_cast<int64_t>(raw_delta);
+      return Status::OK();
+    }
+    default:
+      return InvalidArgumentError(
+          StringPrintf("log record %llu is not a data record",
+                       static_cast<unsigned long long>(out->lsn)));
+  }
+}
+
+Status CheckConsumed(std::string_view payload) {
+  if (!payload.empty()) {
+    return CorruptionError("trailing bytes after log record payload");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status LogRecordHeader::DecodeFrom(std::string_view payload,
+                                   LogRecordHeader* out) {
+  *out = LogRecordHeader();
+  MMDB_RETURN_IF_ERROR(
+      DecodePrefix(&payload, &out->type, &out->lsn, &out->txn_id));
   if ((out->type == LogRecordType::kUpdate ||
        out->type == LogRecordType::kDelta) &&
       !GetVarint64(&payload, &out->record_id)) {
@@ -113,29 +158,30 @@ void LogRecord::EncodeTo(std::string* dst) const {
   }
 }
 
+Status DataRecordView::DecodeFrom(std::string_view payload,
+                                  DataRecordView* out) {
+  *out = DataRecordView();
+  MMDB_RETURN_IF_ERROR(
+      DecodePrefix(&payload, &out->type, &out->lsn, &out->txn_id));
+  MMDB_RETURN_IF_ERROR(DecodeDataBody(&payload, out));
+  return CheckConsumed(payload);
+}
+
 Status LogRecord::DecodeFrom(std::string_view payload, LogRecord* out) {
   *out = LogRecord();
-  if (payload.empty()) return CorruptionError("empty log record payload");
-  uint8_t raw_type = static_cast<uint8_t>(payload.front());
-  payload.remove_prefix(1);
-  if (raw_type < static_cast<uint8_t>(LogRecordType::kUpdate) ||
-      raw_type > static_cast<uint8_t>(LogRecordType::kDelta)) {
-    return CorruptionError(
-        StringPrintf("unknown log record type %u", raw_type));
-  }
-  out->type = static_cast<LogRecordType>(raw_type);
-  if (!GetVarint64(&payload, &out->lsn) ||
-      !GetVarint64(&payload, &out->txn_id)) {
-    return CorruptionError("truncated log record header");
-  }
+  MMDB_RETURN_IF_ERROR(
+      DecodePrefix(&payload, &out->type, &out->lsn, &out->txn_id));
   switch (out->type) {
-    case LogRecordType::kUpdate: {
-      std::string_view image;
-      if (!GetVarint64(&payload, &out->record_id) ||
-          !GetLengthPrefixed(&payload, &image)) {
-        return CorruptionError("truncated update record");
-      }
-      out->image.assign(image.data(), image.size());
+    case LogRecordType::kUpdate:
+    case LogRecordType::kDelta: {
+      DataRecordView data;
+      data.type = out->type;
+      data.lsn = out->lsn;
+      MMDB_RETURN_IF_ERROR(DecodeDataBody(&payload, &data));
+      out->record_id = data.record_id;
+      out->image.assign(data.image.data(), data.image.size());
+      out->field_offset = data.field_offset;
+      out->delta = data.delta;
       break;
     }
     case LogRecordType::kCommit:
@@ -164,21 +210,8 @@ Status LogRecord::DecodeFrom(std::string_view payload, LogRecord* out) {
         return CorruptionError("truncated end-checkpoint record");
       }
       break;
-    case LogRecordType::kDelta: {
-      uint64_t raw_delta;
-      if (!GetVarint64(&payload, &out->record_id) ||
-          !GetVarint32(&payload, &out->field_offset) ||
-          !GetFixed64(&payload, &raw_delta)) {
-        return CorruptionError("truncated delta record");
-      }
-      out->delta = static_cast<int64_t>(raw_delta);
-      break;
-    }
   }
-  if (!payload.empty()) {
-    return CorruptionError("trailing bytes after log record payload");
-  }
-  return Status::OK();
+  return CheckConsumed(payload);
 }
 
 size_t LogRecord::EncodedSize() const {

@@ -70,8 +70,8 @@ struct ActiveTxnEntry {
 // carries (type, lsn, txn) plus record_id for the two data kinds — enough
 // for recovery's classification scan (commit set, segment bucketing, max
 // lsn) without materializing after-images. Decoding a header does NOT
-// fully validate the payload; the full DecodeFrom still runs before any
-// bytes are applied to the database.
+// fully validate the payload; DataRecordView's full decode still runs
+// before any bytes are applied to the database.
 struct LogRecordHeader {
   LogRecordType type = LogRecordType::kUpdate;
   Lsn lsn = kInvalidLsn;
@@ -81,6 +81,23 @@ struct LogRecordHeader {
   // Parses the common prefix of a payload produced by LogRecord::EncodeTo.
   // Returns CORRUPTION if even the prefix is malformed.
   static Status DecodeFrom(std::string_view payload, LogRecordHeader* out);
+};
+
+// Zero-copy decode of an UPDATE or DELTA payload: the fields REDO needs,
+// the after-image pointing into the payload (valid while its bytes are).
+// Same checks and messages as LogRecord::DecodeFrom for the two data
+// kinds; replay applies images through it without copying them first.
+struct DataRecordView {
+  LogRecordType type = LogRecordType::kUpdate;
+  Lsn lsn = kInvalidLsn;
+  TxnId txn_id = kInvalidTxnId;
+  RecordId record_id = 0;
+  std::string_view image;     // kUpdate
+  uint32_t field_offset = 0;  // kDelta
+  int64_t delta = 0;          // kDelta
+
+  // INVALID_ARGUMENT for a well-formed payload of another kind.
+  static Status DecodeFrom(std::string_view payload, DataRecordView* out);
 };
 
 // In-memory form of a log record. Only the fields relevant to `type` are

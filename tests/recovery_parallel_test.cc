@@ -1,4 +1,4 @@
-// Parallel-recovery equivalence suite (DESIGN.md §14): recovery with a
+// Parallel-recovery equivalence suite (DESIGN.md §19): recovery with a
 // worker pool must be observably identical to the legacy serial path —
 // same restored database bytes, same deterministic RecoveryStats, same
 // segment-table state afterwards — for the clean path AND for the

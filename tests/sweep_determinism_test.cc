@@ -10,8 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "backup/backup_store.h"
 #include "bench/figure_util.h"
+#include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
+#include "obs/audit.h"
 #include "obs/bench_diff.h"
 
 namespace mmdb {
@@ -347,6 +350,180 @@ TEST(SweepDeterminismTest, InstantRecoveryConvergesToBlockingState) {
     if (blocking->records[r] != on_demand->records[r]) ++mismatched;
   }
   EXPECT_EQ(mismatched, 0u);
+}
+
+// The crashes the older-copy fallback must survive identically under both
+// restart schedules.
+enum class FallbackCrash {
+  kCrcRot,       // three segments of the newest copy fail their CRC
+  kReadError,    // the device fails the first read of the newest copy
+  kDeltaSuffix,  // CRC rot plus DELTA records in the longer suffix
+};
+
+struct FallbackOutcome {
+  RecoveryStats stats;
+  std::vector<SegmentLineage> lineage;
+  std::vector<std::string> records;
+  // The recovery.fallback journal line without its seq and crc members
+  // (the instant journal interleaves recovery.segment_on_demand events).
+  std::string fallback;
+};
+
+StatusOr<FallbackOutcome> RunFallbackCrash(FallbackCrash crash,
+                                           bool instant) {
+  EngineOptions opt = SmallOptions(Algorithm::kCouCopy, 1);
+  opt.params.db.segment_words = 1024;  // 64 segments
+  opt.instant_recovery = instant;
+  // A device fault hits whichever read comes first; one worker makes that
+  // segment 0 under both schedules. The data faults fan out over four.
+  opt.recovery_threads = crash == FallbackCrash::kReadError ? 1 : 4;
+  std::unique_ptr<Env> base = NewMemEnv();
+  FaultInjectionEnv env(base.get());
+  MMDB_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
+                        Engine::Open(opt, &env));
+  const uint64_t records = engine->params().db.num_records();
+  const uint64_t rps = engine->params().db.records_per_segment();
+  const SegmentId segments = engine->db().num_segments();
+  auto put = [&](RecordId r, uint64_t marker) -> Status {
+    return engine
+        ->Apply({{r, MakeRecordImage(engine->db().record_bytes(), r,
+                                     marker)}})
+        .status();
+  };
+  for (RecordId r = 0; r < records; r += 3 * rps / 2) {
+    MMDB_RETURN_IF_ERROR(put(r, 1));
+  }
+  MMDB_RETURN_IF_ERROR(engine->RunCheckpointToCompletion());  // id 1, copy 1
+  if (crash == FallbackCrash::kDeltaSuffix) {
+    for (SegmentId s = 0; s < segments; s += 5) {
+      MMDB_RETURN_IF_ERROR(
+          engine->ApplyDelta(s * rps + 1, 8, static_cast<int64_t>(s) + 1)
+              .status());
+    }
+  }
+  for (RecordId r = rps / 2; r < records; r += 3 * rps / 2) {
+    MMDB_RETURN_IF_ERROR(put(r, 2));
+  }
+  MMDB_RETURN_IF_ERROR(engine->RunCheckpointToCompletion());  // id 2, copy 0
+  for (RecordId r = rps / 4; r < records; r += 3 * rps / 2) {
+    MMDB_RETURN_IF_ERROR(put(r, 3));
+  }
+  MMDB_RETURN_IF_ERROR(engine->FlushLog());
+  MMDB_RETURN_IF_ERROR(engine->AdvanceTime(1.0));
+  MMDB_RETURN_IF_ERROR(engine->Crash());
+
+  const std::string newest = opt.dir + "/backup_0.db";
+  if (crash == FallbackCrash::kReadError) {
+    env.InjectFault({FaultKind::kReadError, "backup_0.db", env.op_count(), 1});
+  } else {
+    // Past the instant schedule's first window of reads (one per backup
+    // disk), so a transaction can commit before the fallback.
+    for (SegmentId s : {SegmentId{25}, SegmentId{41}, SegmentId{57}}) {
+      MMDB_ASSIGN_OR_RETURN(std::unique_ptr<RandomWriteFile> file,
+                            base->NewRandomWriteFile(newest));
+      const uint64_t off =
+          BackupStore::SlotOffsetFor(engine->params().db, s) + 17;
+      std::string byte;
+      MMDB_RETURN_IF_ERROR(file->Read(off, 1, &byte));
+      byte[0] = static_cast<char>(byte[0] ^ 0x40);
+      MMDB_RETURN_IF_ERROR(file->WriteAt(off, byte));
+      MMDB_RETURN_IF_ERROR(file->Close());
+    }
+  }
+  MMDB_RETURN_IF_ERROR(engine->Recover().status());
+  if (crash != FallbackCrash::kReadError) {
+    // The same two commits in both lanes. Instant: the first commits to a
+    // clean segment loaded from the newest copy; the second touches a
+    // rotted one, and the fallback must keep the first commit.
+    MMDB_RETURN_IF_ERROR(put(2 * rps + 2, 4));
+    MMDB_RETURN_IF_ERROR(put(41 * rps + 2, 5));
+  }
+  MMDB_RETURN_IF_ERROR(engine->DrainRecovery());
+
+  FallbackOutcome out;
+  out.stats = engine->last_recovery();
+  out.lineage = engine->last_lineage();
+  for (uint64_t r = 0; r < records; ++r) {
+    out.records.emplace_back(engine->ReadRecordRaw(r));
+  }
+  std::string journal;
+  MMDB_RETURN_IF_ERROR(
+      base->ReadFileToString(engine->AuditLogPath(), &journal));
+  MMDB_ASSIGN_OR_RETURN(std::vector<AuditEntry> entries,
+                        ParseAuditJournal(journal));
+  for (const AuditEntry& e : entries) {
+    if (e.event != "recovery.fallback") continue;
+    const std::string line = e.object.Dump();
+    const std::size_t t = line.find("\"t\":");
+    const std::size_t crc = line.rfind(",\"crc\":");
+    if (t == std::string::npos || crc == std::string::npos) {
+      return InternalError("unexpected journal line: " + line);
+    }
+    out.fallback += line.substr(t, crc - t) + "\n";
+  }
+  return out;
+}
+
+TEST(SweepDeterminismTest, InstantFallbackConvergesToBlockingState) {
+  // One older-copy fallback serves both schedules (DESIGN.md §19): with
+  // the newest copy damaged, a drained instant restart must equal a
+  // blocking one at zero tolerance — every modeled stat, every lineage
+  // entry, every record byte, and the journaled fallback decision.
+  ASSERT_EQ(unsetenv("MMDB_INSTANT_RECOVERY"), 0);
+  ASSERT_EQ(unsetenv("MMDB_RECOVERY_THREADS"), 0);
+  for (FallbackCrash crash : {FallbackCrash::kCrcRot, FallbackCrash::kReadError,
+                              FallbackCrash::kDeltaSuffix}) {
+    SCOPED_TRACE(static_cast<int>(crash));
+    StatusOr<FallbackOutcome> blocking = RunFallbackCrash(crash, false);
+    StatusOr<FallbackOutcome> on_demand = RunFallbackCrash(crash, true);
+    ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
+    ASSERT_TRUE(on_demand.ok()) << on_demand.status().ToString();
+
+    const RecoveryStats& a = blocking->stats;
+    const RecoveryStats& b = on_demand->stats;
+    EXPECT_TRUE(a.fell_back_to_older_copy);
+    EXPECT_EQ(a.checkpoint_id, 1u);
+    EXPECT_EQ(a.segments_retried,
+              crash == FallbackCrash::kCrcRot        ? 3u
+              : crash == FallbackCrash::kReadError ? 1u
+                                                   : 64u);
+    EXPECT_EQ(a.checkpoint_id, b.checkpoint_id);
+    EXPECT_EQ(a.copy, b.copy);
+    EXPECT_EQ(a.backup_read_seconds, b.backup_read_seconds);
+    EXPECT_EQ(a.log_read_seconds, b.log_read_seconds);
+    EXPECT_EQ(a.replay_cpu_seconds, b.replay_cpu_seconds);
+    EXPECT_EQ(a.total_seconds, b.total_seconds);
+    EXPECT_EQ(a.segments_loaded, b.segments_loaded);
+    EXPECT_EQ(a.segments_retried, b.segments_retried);
+    EXPECT_EQ(a.log_bytes_read, b.log_bytes_read);
+    EXPECT_EQ(a.records_scanned, b.records_scanned);
+    EXPECT_EQ(a.updates_applied, b.updates_applied);
+    EXPECT_EQ(a.txns_redone, b.txns_redone);
+    EXPECT_EQ(a.fell_back_to_older_copy, b.fell_back_to_older_copy);
+
+    ASSERT_EQ(blocking->lineage.size(), on_demand->lineage.size());
+    for (std::size_t s = 0; s < blocking->lineage.size(); ++s) {
+      const SegmentLineage& la = blocking->lineage[s];
+      const SegmentLineage& lb = on_demand->lineage[s];
+      EXPECT_EQ(la.checkpoint_id, lb.checkpoint_id) << s;
+      EXPECT_EQ(la.copy, lb.copy) << s;
+      EXPECT_EQ(la.retried, lb.retried) << s;
+      EXPECT_EQ(la.frames, lb.frames) << s;
+      EXPECT_EQ(la.first_lsn, lb.first_lsn) << s;
+      EXPECT_EQ(la.last_lsn, lb.last_lsn) << s;
+      EXPECT_EQ(la.streams, lb.streams) << s;
+    }
+
+    ASSERT_EQ(blocking->records.size(), on_demand->records.size());
+    std::size_t mismatched = 0;
+    for (std::size_t r = 0; r < blocking->records.size(); ++r) {
+      if (blocking->records[r] != on_demand->records[r]) ++mismatched;
+    }
+    EXPECT_EQ(mismatched, 0u);
+
+    EXPECT_FALSE(blocking->fallback.empty());
+    EXPECT_EQ(blocking->fallback, on_demand->fallback);
+  }
 }
 
 TEST(SweepDeterminismTest, DeterministicViewStripsOnlyRun) {

@@ -123,6 +123,38 @@ TEST(LogRecordTest, DecodeRejectsGarbage) {
   EXPECT_TRUE(LogRecord::DecodeFrom(payload, &out).IsCorruption());
 }
 
+TEST(LogRecordTest, DataRecordViewAgreesWithFullDecode) {
+  // Replay decodes data frames through the zero-copy view; it must see
+  // exactly the fields, and reject exactly the payloads, the full decode
+  // does.
+  for (const LogRecord& r : AllRecordShapes()) {
+    std::string payload;
+    r.EncodeTo(&payload);
+    DataRecordView view;
+    Status st = DataRecordView::DecodeFrom(payload, &view);
+    if (r.type != LogRecordType::kUpdate && r.type != LogRecordType::kDelta) {
+      EXPECT_TRUE(st.IsInvalidArgument()) << r.DebugString();
+      continue;
+    }
+    MMDB_ASSERT_OK(st);
+    EXPECT_EQ(view.type, r.type);
+    EXPECT_EQ(view.lsn, r.lsn);
+    EXPECT_EQ(view.txn_id, r.txn_id);
+    EXPECT_EQ(view.record_id, r.record_id);
+    EXPECT_EQ(view.image, r.image);
+    EXPECT_EQ(view.field_offset, r.field_offset);
+    EXPECT_EQ(view.delta, r.delta);
+    LogRecord full;
+    for (std::string bad : {payload.substr(0, payload.size() - 1),
+                            payload + "junk"}) {
+      Status want = LogRecord::DecodeFrom(bad, &full);
+      Status got = DataRecordView::DecodeFrom(bad, &view);
+      EXPECT_TRUE(got.IsCorruption()) << r.DebugString();
+      EXPECT_EQ(got.ToString(), want.ToString()) << r.DebugString();
+    }
+  }
+}
+
 class LogManagerTest : public testing::Test {
  protected:
   void Open(bool stable = false) {

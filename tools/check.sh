@@ -15,7 +15,10 @@
 # the MMDB_SHARDS=4 lane: the engine/txn/recovery/torture suites re-run
 # under TSan with every engine forced to four shards, exercising the
 # striped lock table, the N WAL stream files, and merged-stream recovery
-# in the partitioned configuration (DESIGN.md §17).
+# in the partitioned configuration (DESIGN.md §17). A second engine lane
+# re-runs recovery_parallel_test and restart_test with
+# MMDB_INSTANT_RECOVERY=1: the instant schedule's drain materializes its
+# batch on the same recovery pool as a blocking restart (DESIGN.md §19).
 #
 # The sanitize full suite and the MMDB_SHARDS=4 tsan lane both run with
 # MMDB_AUDIT_EXPORT_DIR set, so every crash/recovery test exports its
@@ -133,6 +136,9 @@ run_tsan() {
       ctest --test-dir build-tsan --output-on-failure \
       -R '^(engine_test|txn_test|recovery_test|recovery_parallel_test|consistency_test|restart_test|torture_test)$'
   verify_audit_exports build-tsan build-tsan/audit-export
+  echo "check.sh: tsan instant-recovery lane (MMDB_INSTANT_RECOVERY=1)"
+  MMDB_INSTANT_RECOVERY=1 ctest --test-dir build-tsan --output-on-failure \
+      -R '^(recovery_parallel_test|restart_test)$'
   echo "check.sh: tsan bench smoke (fig_shard_scaling --quick --jobs=2)"
   MMDB_RECOVERY_THREADS=2 \
       MMDB_METRICS_SIDECAR=build-tsan/fig_shard_tsan_smoke.json \
