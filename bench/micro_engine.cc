@@ -113,6 +113,22 @@ BENCHMARK(BM_MakeRecordImage);
 // than the one before.
 constexpr int64_t kCommitsPerCheckpoint = 8192;
 
+// Counts one commit; every kCommitsPerCheckpoint of them runs the flush,
+// clock move and truncating checkpoint above outside the timed region.
+// False (with the benchmark marked skipped) if any step failed.
+bool CheckpointWhenDue(benchmark::State& state, Engine& e,
+                       int64_t* since_checkpoint) {
+  if (++*since_checkpoint < kCommitsPerCheckpoint) return true;
+  state.PauseTiming();
+  *since_checkpoint = 0;
+  Status st = e.FlushLog();
+  if (st.ok()) st = e.AdvanceTime(1.0);
+  if (st.ok()) st = e.RunCheckpointToCompletion();
+  state.ResumeTiming();
+  if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+  return st.ok();
+}
+
 void BM_TxnCommit(benchmark::State& state) {
   auto env = NewMemEnv();
   EngineOptions opt = BenchOptions();
@@ -136,18 +152,7 @@ void BM_TxnCommit(benchmark::State& state) {
       (void)e.Write(t, r, image);
     }
     benchmark::DoNotOptimize(e.Commit(t));
-    if (++since_checkpoint == kCommitsPerCheckpoint) {
-      state.PauseTiming();
-      since_checkpoint = 0;
-      Status st = e.FlushLog();
-      if (st.ok()) st = e.AdvanceTime(1.0);
-      if (st.ok()) st = e.RunCheckpointToCompletion();
-      state.ResumeTiming();
-      if (!st.ok()) {
-        state.SkipWithError(st.ToString().c_str());
-        break;
-      }
-    }
+    if (!CheckpointWhenDue(state, e, &since_checkpoint)) break;
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -158,6 +163,41 @@ BENCHMARK(BM_TxnCommit)
     ->Args({1, 0})
     ->Args({5, 0})
     ->Args({20, 0});
+
+// Arg 0: records per transaction, each read then written (the wallbench
+// oltp_uniform shape). The database is 16 Mwords (64 MiB, 2048 segments),
+// sixteen times BM_TxnCommit's, so uniform keys miss the caches and the
+// TLB: this is the row that sees what the primary copy's page size costs.
+// Checkpoints run as in BM_TxnCommit.
+void BM_TxnReadModifyWrite(benchmark::State& state) {
+  auto env = NewMemEnv();
+  EngineOptions opt = BenchOptions();
+  opt.params.db.db_words = 16ull << 20;
+  opt.truncate_log_at_checkpoint = true;
+  auto engine = Engine::Open(opt, env.get());
+  if (!engine.ok()) {
+    state.SkipWithError(engine.status().ToString().c_str());
+    return;
+  }
+  Engine& e = **engine;
+  Random rng(1);
+  const uint32_t k = static_cast<uint32_t>(state.range(0));
+  std::string image = MakeRecordImage(e.db().record_bytes(), 0, 0);
+  std::string value;
+  int64_t since_checkpoint = 0;
+  for (auto _ : state) {
+    Transaction* t = e.Begin();
+    for (uint32_t i = 0; i < k; ++i) {
+      RecordId r = rng.Uniform(e.db().num_records());
+      (void)e.Read(t, r, &value);
+      (void)e.Write(t, r, image);
+    }
+    benchmark::DoNotOptimize(e.Commit(t));
+    if (!CheckpointWhenDue(state, e, &since_checkpoint)) break;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TxnReadModifyWrite)->Arg(1)->Arg(5)->Arg(20);
 
 // Lock-table striping under real multi-threaded contention (the shard
 // satellite): every thread acquires and releases an exclusive lock on a

@@ -442,7 +442,7 @@ void Checkpointer::Abort(double now, std::string_view cause) {
 }
 
 double Checkpointer::EarliestExecutionTime(
-    const std::vector<SegmentId>& segments, double now) const {
+    std::span<const SegmentId> segments, double now) const {
   double t = now;
   if (InProgress() && QuiescesTransactions() && now < sweep_start_) {
     // COU admission barrier: new transactions wait until the checkpoint's
@@ -457,7 +457,7 @@ double Checkpointer::EarliestExecutionTime(
 }
 
 Checkpointer::StallCause Checkpointer::ClassifyStall(
-    const std::vector<SegmentId>& segments, double now) const {
+    std::span<const SegmentId> segments, double now) const {
   // Mirrors EarliestExecutionTime's two delay sources; the one that
   // releases last is the cause the caller is actually waiting on.
   double quiesce_t = now;
@@ -474,7 +474,7 @@ Checkpointer::StallCause Checkpointer::ClassifyStall(
                              : StallCause::kCheckpointLock;
 }
 
-bool Checkpointer::AdmitAccess(const std::vector<SegmentId>&, double) {
+bool Checkpointer::AdmitAccess(std::span<const SegmentId>, double) {
   return true;
 }
 

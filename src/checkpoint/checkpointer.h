@@ -7,6 +7,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -244,7 +245,7 @@ class Checkpointer : public CheckpointHooks {
   // engine uses this to attribute admission stalls to their cause in the
   // per-transaction latency breakdown.
   enum class StallCause : uint8_t { kNone, kQuiesce, kCheckpointLock };
-  StallCause ClassifyStall(const std::vector<SegmentId>& segments,
+  StallCause ClassifyStall(std::span<const SegmentId> segments,
                            double now) const;
 
   // Cumulative backup segment writes per shard across every checkpoint
@@ -254,9 +255,9 @@ class Checkpointer : public CheckpointHooks {
   }
 
   // --- CheckpointHooks (defaults; subclasses refine) ---------------------
-  double EarliestExecutionTime(const std::vector<SegmentId>& segments,
+  double EarliestExecutionTime(std::span<const SegmentId> segments,
                                double now) const override;
-  bool AdmitAccess(const std::vector<SegmentId>& segments,
+  bool AdmitAccess(std::span<const SegmentId> segments,
                    double now) override;
   void BeforeSegmentUpdate(SegmentId s, RecordId record, Timestamp txn_ts,
                            double now) override;

@@ -46,7 +46,7 @@ void TwoColorCheckpointer::OnSkipSegment(SegmentId s) {
 }
 
 bool TwoColorCheckpointer::AdmitAccess(
-    const std::vector<SegmentId>& segments, double) {
+    std::span<const SegmentId> segments, double) {
   if (state_ != State::kSweeping) return true;  // colors are uniform
   bool white = false;
   bool black = false;

@@ -34,7 +34,7 @@ class TwoColorCheckpointer : public Checkpointer {
 
   // Pu's constraint: reject access sets spanning the color boundary while
   // the sweep is active.
-  bool AdmitAccess(const std::vector<SegmentId>& segments,
+  bool AdmitAccess(std::span<const SegmentId> segments,
                    double now) override;
 
   void Reset() override;

@@ -217,7 +217,7 @@ Transaction* Engine::Begin() {
   return txns_->Begin(clock_.now());
 }
 
-Status Engine::AdmitRecovery(const std::vector<SegmentId>& segs) {
+Status Engine::AdmitRecovery(std::span<const SegmentId> segs) {
   if (instant_ == nullptr) return Status::OK();
   for (SegmentId s : segs) {
     if (instant_ == nullptr) break;  // drain finished mid-loop
@@ -228,8 +228,8 @@ Status Engine::AdmitRecovery(const std::vector<SegmentId>& segs) {
     // virtual time, and the AdvanceTime sweep below must see this
     // segment already loaded so it does not claim the touch-triggered
     // load as a background one.
-    Status loaded =
-        instant_->Materialize({s}, now, InstantRecovery::LoadTrigger::kTouch);
+    Status loaded = instant_->Materialize(
+        {&s, 1}, now, InstantRecovery::LoadTrigger::kTouch);
     if (!loaded.ok()) return FailRecovery(std::move(loaded));
     if (wait > 0) {
       // The sixth stall cause: the transaction waits on this segment's
@@ -248,7 +248,7 @@ Status Engine::AdmitRecovery(const std::vector<SegmentId>& segs) {
   return Status::OK();
 }
 
-Status Engine::WaitForAdmission(const std::vector<SegmentId>& segs) {
+Status Engine::WaitForAdmission(std::span<const SegmentId> segs) {
   // A restart's on-demand recovery gates admission first: a transaction
   // may not touch a segment whose post-crash image is not loaded yet.
   MMDB_RETURN_IF_ERROR(AdmitRecovery(segs));
@@ -286,14 +286,16 @@ Status Engine::WaitForAdmission(const std::vector<SegmentId>& segs) {
 
 Status Engine::Read(Transaction* txn, RecordId record, std::string* out) {
   if (crashed_) return FailedPreconditionError("engine has crashed");
-  MMDB_RETURN_IF_ERROR(WaitForAdmission({db_->SegmentOf(record)}));
+  const SegmentId seg = db_->SegmentOf(record);
+  MMDB_RETURN_IF_ERROR(WaitForAdmission({&seg, 1}));
   return txns_->Read(txn, record, out, clock_.now());
 }
 
 Status Engine::Write(Transaction* txn, RecordId record,
                      std::string_view image) {
   if (crashed_) return FailedPreconditionError("engine has crashed");
-  MMDB_RETURN_IF_ERROR(WaitForAdmission({db_->SegmentOf(record)}));
+  const SegmentId seg = db_->SegmentOf(record);
+  MMDB_RETURN_IF_ERROR(WaitForAdmission({&seg, 1}));
   return txns_->Write(txn, record, image, clock_.now());
 }
 
@@ -307,7 +309,8 @@ Status Engine::WriteDelta(Transaction* txn, RecordId record,
         "algorithm: replaying non-idempotent REDO against a fuzzy or "
         "boundary-consistent backup corrupts data");
   }
-  MMDB_RETURN_IF_ERROR(WaitForAdmission({db_->SegmentOf(record)}));
+  const SegmentId seg = db_->SegmentOf(record);
+  MMDB_RETURN_IF_ERROR(WaitForAdmission({&seg, 1}));
   Status st = txns_->WriteDelta(txn, record, field_offset, delta, clock_.now());
   // Once a delta is staged the log may carry non-idempotent REDO records,
   // which rules out checkpoint abort-and-retry (see FailCheckpoint).
@@ -343,9 +346,10 @@ StatusOr<Lsn> Engine::Commit(Transaction* txn) {
   // locks covering them. Deduplicate — a transaction writing several
   // records of one segment must wait on (and be charged for) that
   // segment's lock once, not once per record.
-  std::vector<SegmentId> segs;
-  for (const auto& [record, image] : txn->pending) {
-    segs.push_back(db_->SegmentOf(record));
+  std::vector<SegmentId>& segs = commit_segments_;
+  segs.clear();
+  for (const Transaction::PendingWrite& w : txn->pending) {
+    segs.push_back(db_->SegmentOf(w.record));
   }
   for (const auto& [key, delta] : txn->pending_deltas) {
     segs.push_back(db_->SegmentOf(key.first));
@@ -712,7 +716,8 @@ void Engine::ForceRecoverRecord(RecordId record) {
   // caller: on a materialization error the read simply sees the
   // unrecovered image, and the next transactional touch of the segment
   // surfaces the error properly.
-  (void)instant_->Materialize({db_->SegmentOf(record)}, clock_.now(),
+  const SegmentId seg = db_->SegmentOf(record);
+  (void)instant_->Materialize({&seg, 1}, clock_.now(),
                               InstantRecovery::LoadTrigger::kForce);
   SyncInstant();
 }

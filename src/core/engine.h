@@ -2,6 +2,7 @@
 #define MMDB_CORE_ENGINE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -277,10 +278,10 @@ class Engine {
   Status MaybeTruncateLog();
 
   // Waits (advances the clock) until a transaction may touch `segments`.
-  Status WaitForAdmission(const std::vector<SegmentId>& segments);
+  Status WaitForAdmission(std::span<const SegmentId> segments);
   // Instant-recovery admission gate: stalls on each touched segment's
   // recovery latch (recovery_wait attribution) and materializes it.
-  Status AdmitRecovery(const std::vector<SegmentId>& segments);
+  Status AdmitRecovery(std::span<const SegmentId> segments);
   // Force-materializes `record`'s segment for a diagnostic raw read.
   void ForceRecoverRecord(RecordId record);
   // Post-materialization bookkeeping: the one-time scheduler fixup after
@@ -322,6 +323,8 @@ class Engine {
   // Created only when instant recovery is enabled, so the registry
   // snapshot stays byte-identical with the feature off.
   Timer* m_stall_recovery_wait_ = nullptr;
+  // Commit's deduplicated segment set, reused across commits.
+  std::vector<SegmentId> commit_segments_;
   double stall_quiesce_seconds_ = 0.0;
   double stall_ckpt_lock_seconds_ = 0.0;
   double stall_recovery_wait_seconds_ = 0.0;

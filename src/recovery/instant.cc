@@ -143,7 +143,7 @@ Status InstantRecovery::MaterializeAll() {
   return Materialize(all, plan_.crash_time, LoadTrigger::kBackground);
 }
 
-Status InstantRecovery::Materialize(const std::vector<SegmentId>& segs,
+Status InstantRecovery::Materialize(std::span<const SegmentId> segs,
                                     double now, LoadTrigger trigger) {
   MMDB_RETURN_IF_ERROR(failed_);
   std::vector<SegmentId> batch;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -94,7 +95,7 @@ class InstantRecovery {
   // the restore source can change. Idempotent per segment; `now` only
   // stamps the on-demand events. An error is fatal to the restart
   // (neither copy readable) and every later call returns it.
-  Status Materialize(const std::vector<SegmentId>& segs, double now,
+  Status Materialize(std::span<const SegmentId> segs, double now,
                      LoadTrigger trigger);
 
   // Materializes every segment whose scheduled background reload has

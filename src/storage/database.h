@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "sim/cost_model.h"
 #include "util/status.h"
@@ -19,9 +18,16 @@ namespace mmdb {
 //
 // Layout: record r occupies bytes [r*record_bytes, (r+1)*record_bytes);
 // segment s spans records [s*records_per_segment, (s+1)*records_per_segment).
+//
+// Memory: one calloc'd block advised MADV_HUGEPAGE, so a large database
+// stays within the TLB's reach (a 64 MiB copy is about 32 huge pages
+// instead of 16,384 small ones; glibc maps a block that large afresh and
+// unmaps it when freed). It is faulted in at construction, so no page
+// fault lands inside a transaction or a recovery load (DESIGN.md §12).
 class Database {
  public:
   explicit Database(const DatabaseParams& params);
+  ~Database();
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -53,15 +59,16 @@ class Database {
   uint32_t Checksum() const;
 
   // Direct byte access for bulk operations (backup writes, recovery reads).
-  const char* data() const { return bytes_.data(); }
-  char* mutable_data() { return bytes_.data(); }
-  size_t size_bytes() const { return bytes_.size(); }
+  const char* data() const { return bytes_; }
+  char* mutable_data() { return bytes_; }
+  size_t size_bytes() const { return size_bytes_; }
 
  private:
   DatabaseParams params_;
   size_t record_bytes_;
   size_t segment_bytes_;
-  std::vector<char> bytes_;
+  size_t size_bytes_;
+  char* bytes_;
 };
 
 }  // namespace mmdb

@@ -1,7 +1,7 @@
 #ifndef MMDB_TXN_CHECKPOINT_HOOKS_H_
 #define MMDB_TXN_CHECKPOINT_HOOKS_H_
 
-#include <vector>
+#include <span>
 
 #include "util/types.h"
 
@@ -24,13 +24,13 @@ class CheckpointHooks {
   // barrier at checkpoint start. Used by the simulation driver; the
   // interactive facade treats a future time as "spin the checkpointer
   // until then".
-  virtual double EarliestExecutionTime(const std::vector<SegmentId>& segments,
+  virtual double EarliestExecutionTime(std::span<const SegmentId> segments,
                                        double now) const = 0;
 
   // Two-color admission test (Pu's constraint): false means the access set
   // spans both white and black data and the transaction must abort and
   // restart. Non-two-color algorithms always return true.
-  virtual bool AdmitAccess(const std::vector<SegmentId>& segments,
+  virtual bool AdmitAccess(std::span<const SegmentId> segments,
                            double now) = 0;
 
   // Called immediately before a committing transaction with timestamp
@@ -55,11 +55,11 @@ class CheckpointHooks {
 // extra bookkeeping.
 class NullCheckpointHooks : public CheckpointHooks {
  public:
-  double EarliestExecutionTime(const std::vector<SegmentId>&,
+  double EarliestExecutionTime(std::span<const SegmentId>,
                                double now) const override {
     return now;
   }
-  bool AdmitAccess(const std::vector<SegmentId>&, double) override {
+  bool AdmitAccess(std::span<const SegmentId>, double) override {
     return true;
   }
   void BeforeSegmentUpdate(SegmentId, RecordId, Timestamp, double) override {}

@@ -1,7 +1,5 @@
 #include "txn/lock_manager.h"
 
-#include <algorithm>
-
 #include "util/string_util.h"
 
 namespace mmdb {
@@ -12,6 +10,34 @@ LockManager::LockManager(uint32_t stripes, uint64_t records_per_segment)
   stripes_.reserve(stripes);
   for (uint32_t i = 0; i < stripes; ++i) {
     stripes_.push_back(std::make_unique<Stripe>());
+  }
+}
+
+bool LockManager::Sharers::contains(TxnId txn) const {
+  for (size_t i = 0; i < count_; ++i) {
+    if (at(i) == txn) return true;
+  }
+  return false;
+}
+
+void LockManager::Sharers::push_back(TxnId txn) {
+  if (count_ < kInline) {
+    inline_[count_] = txn;
+  } else {
+    overflow_.push_back(txn);
+  }
+  ++count_;
+}
+
+void LockManager::Sharers::erase(TxnId txn) {
+  // Order among sharers carries no meaning: move the last holder into the
+  // freed slot.
+  for (size_t i = 0; i < count_; ++i) {
+    if (at(i) != txn) continue;
+    at(i) = at(count_ - 1);
+    if (count_ > kInline) overflow_.pop_back();
+    --count_;
+    return;
   }
 }
 
@@ -35,8 +61,7 @@ Status LockManager::Acquire(TxnId txn, RecordId record, Mode mode) {
 Status LockManager::AcquireImpl(Stripe& stripe, TxnId txn, RecordId record,
                                 Mode mode) {
   Entry& e = stripe.table[record];
-  const bool held_shared =
-      std::find(e.shared.begin(), e.shared.end(), txn) != e.shared.end();
+  const bool held_shared = e.shared.contains(txn);
   if (mode == Mode::kShared) {
     if (e.exclusive != kInvalidTxnId && e.exclusive != txn) {
       return AbortedError(StringPrintf(
@@ -75,7 +100,7 @@ void LockManager::ReleaseAll(TxnId txn, const std::vector<RecordId>& records) {
     if (it == stripe.table.end()) continue;
     Entry& e = it->second;
     if (e.exclusive == txn) e.exclusive = kInvalidTxnId;
-    std::erase(e.shared, txn);
+    e.shared.erase(txn);
     if (e.exclusive == kInvalidTxnId && e.shared.empty()) {
       stripe.table.erase(it);
     }
@@ -95,10 +120,7 @@ bool LockManager::Holds(TxnId txn, RecordId record, Mode mode) const {
   if (it == stripe.table.end()) return false;
   const Entry& e = it->second;
   if (e.exclusive == txn) return true;
-  if (mode == Mode::kShared) {
-    return std::find(e.shared.begin(), e.shared.end(), txn) != e.shared.end();
-  }
-  return false;
+  return mode == Mode::kShared && e.shared.contains(txn);
 }
 
 size_t LockManager::num_locked_records() const {

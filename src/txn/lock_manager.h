@@ -74,10 +74,39 @@ class LockManager {
   }
 
  private:
+  // The share holders of one record. The first two live inline, so the
+  // common cases (one reader, or a reader beside one more) allocate
+  // nothing; further sharers spill to a heap list.
+  class Sharers {
+   public:
+    bool empty() const { return count_ == 0; }
+    size_t size() const { return count_; }
+    bool contains(TxnId txn) const;
+    void push_back(TxnId txn);
+    void erase(TxnId txn);
+    void clear() {
+      count_ = 0;
+      overflow_.clear();
+    }
+
+   private:
+    TxnId& at(size_t i) {
+      return i < kInline ? inline_[i] : overflow_[i - kInline];
+    }
+    const TxnId& at(size_t i) const {
+      return i < kInline ? inline_[i] : overflow_[i - kInline];
+    }
+
+    static constexpr size_t kInline = 2;
+    TxnId inline_[kInline] = {kInvalidTxnId, kInvalidTxnId};
+    size_t count_ = 0;
+    std::vector<TxnId> overflow_;  // holders past the inline slots
+  };
+
   struct Entry {
     // Exclusive holder, or kInvalidTxnId if the lock is shared/free.
     TxnId exclusive = kInvalidTxnId;
-    std::vector<TxnId> shared;
+    Sharers shared;
   };
 
   // One independently locked partition of the table. unique_ptr keeps the

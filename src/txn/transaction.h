@@ -41,8 +41,16 @@ struct Transaction {
   TxnState state = TxnState::kActive;
   double begin_time = 0.0;
 
-  // Deferred updates, keyed by record so a rewrite replaces the image.
-  std::map<RecordId, std::string> pending;
+  // Deferred full-image updates: one entry per written record, each
+  // pointing at its record_bytes-long image in `pending_images`. A rewrite
+  // overwrites the image in place. Commit sorts the entries by record, so
+  // the UPDATE frames are logged in record order.
+  struct PendingWrite {
+    RecordId record;
+    size_t offset;  // into pending_images
+  };
+  std::vector<PendingWrite> pending;
+  std::string pending_images;
 
   // Deferred logical (delta) operations: accumulated signed additions to
   // 8-byte fields, keyed by (record, byte offset). Logged as compact
@@ -65,6 +73,14 @@ struct Transaction {
   TxnAbortCause abort_cause = TxnAbortCause::kNone;
 
   size_t num_updates() const { return pending.size() + pending_deltas.size(); }
+
+  // The pending full-image write to `record`, or nullptr.
+  const PendingWrite* FindPending(RecordId record) const {
+    for (const PendingWrite& w : pending) {
+      if (w.record == record) return &w;
+    }
+    return nullptr;
+  }
 };
 
 }  // namespace mmdb

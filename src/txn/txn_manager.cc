@@ -49,7 +49,14 @@ Status TxnManager::AcquireLock(Transaction* txn, RecordId record,
                       static_cast<int64_t>(txn->id),
                       static_cast<int64_t>(record));
     }
+    return lock;
   }
+  // Sized at first use for the modeled transaction (each of its records
+  // read, then written), so a typical one never regrows its lists.
+  if (txn->locked_records.empty()) {
+    txn->locked_records.reserve(2 * params_.txn.updates_per_txn);
+  }
+  txn->locked_records.push_back(record);
   return lock;
 }
 
@@ -67,6 +74,9 @@ Status TxnManager::CheckColors(Transaction* txn, SegmentId segment,
                                double now) {
   if (std::find(txn->touched_segments.begin(), txn->touched_segments.end(),
                 segment) == txn->touched_segments.end()) {
+    if (txn->touched_segments.empty()) {
+      txn->touched_segments.reserve(params_.txn.updates_per_txn);
+    }
     txn->touched_segments.push_back(segment);
   }
   if (!hooks_->AdmitAccess(txn->touched_segments, now)) {
@@ -84,14 +94,13 @@ Status TxnManager::Read(Transaction* txn, RecordId record, std::string* out,
   if (record >= db_->num_records()) {
     return OutOfRangeError("record id out of range");
   }
-  Status lock = AcquireLock(txn, record, LockManager::Mode::kShared, now);
-  if (!lock.ok()) return lock;
-  txn->locked_records.push_back(record);
+  MMDB_RETURN_IF_ERROR(
+      AcquireLock(txn, record, LockManager::Mode::kShared, now));
   MMDB_RETURN_IF_ERROR(CheckColors(txn, db_->SegmentOf(record), now));
 
-  auto it = txn->pending.find(record);
-  if (it != txn->pending.end()) {
-    *out = it->second;  // read-your-writes
+  if (const Transaction::PendingWrite* w = txn->FindPending(record)) {
+    std::string_view image = PendingImage(*txn, *w);  // read-your-writes
+    out->assign(image.data(), image.size());
   } else {
     std::string_view v = db_->ReadRecord(record);
     out->assign(v.data(), v.size());
@@ -123,12 +132,21 @@ Status TxnManager::Write(Transaction* txn, RecordId record,
           "record already has delta operations in this transaction");
     }
   }
-  Status lock = AcquireLock(txn, record, LockManager::Mode::kExclusive, now);
-  if (!lock.ok()) return lock;
-  txn->locked_records.push_back(record);
+  MMDB_RETURN_IF_ERROR(
+      AcquireLock(txn, record, LockManager::Mode::kExclusive, now));
   MMDB_RETURN_IF_ERROR(CheckColors(txn, db_->SegmentOf(record), now));
 
-  txn->pending[record] = std::string(image);
+  if (const Transaction::PendingWrite* w = txn->FindPending(record)) {
+    txn->pending_images.replace(w->offset, image.size(), image);
+  } else {
+    if (txn->pending.empty()) {
+      txn->pending.reserve(params_.txn.updates_per_txn);
+      txn->pending_images.reserve(params_.txn.updates_per_txn *
+                                  image.size());
+    }
+    txn->pending.push_back({record, txn->pending_images.size()});
+    txn->pending_images.append(image);
+  }
   return Status::OK();
 }
 
@@ -143,13 +161,12 @@ Status TxnManager::WriteDelta(Transaction* txn, RecordId record,
     return InvalidArgumentError(
         "delta field does not fit within the record");
   }
-  if (txn->pending.count(record) > 0) {
+  if (txn->FindPending(record) != nullptr) {
     return FailedPreconditionError(
         "record already has a full-image write in this transaction");
   }
-  Status lock = AcquireLock(txn, record, LockManager::Mode::kExclusive, now);
-  if (!lock.ok()) return lock;
-  txn->locked_records.push_back(record);
+  MMDB_RETURN_IF_ERROR(
+      AcquireLock(txn, record, LockManager::Mode::kExclusive, now));
   MMDB_RETURN_IF_ERROR(CheckColors(txn, db_->SegmentOf(record), now));
 
   txn->pending_deltas[{record, field_offset}] += delta;
@@ -165,16 +182,22 @@ StatusOr<Lsn> TxnManager::Commit(Transaction* txn, double now) {
   // shard; the commit record lands on the transaction's home shard — the
   // shard of its first emitted update — so replay finds it behind every
   // frame it covers on that stream, and cross-shard frames resolve
-  // through the global LSN order.
+  // through the global LSN order. Frames go out in record order.
+  std::sort(txn->pending.begin(), txn->pending.end(),
+            [](const Transaction::PendingWrite& a,
+               const Transaction::PendingWrite& b) {
+              return a.record < b.record;
+            });
   uint32_t home_shard = 0;
   bool home_set = false;
-  for (const auto& [record, image] : txn->pending) {
-    uint32_t shard = shards_.ShardOfSegment(db_->SegmentOf(record));
+  for (const Transaction::PendingWrite& w : txn->pending) {
+    uint32_t shard = shards_.ShardOfSegment(db_->SegmentOf(w.record));
     if (!home_set) {
       home_shard = shard;
       home_set = true;
     }
-    LogRecord update = LogRecord::Update(txn->id, record, image);
+    DataRecordView update =
+        DataRecordView::Update(txn->id, w.record, PendingImage(*txn, w));
     log_->Append(&update, now, shard);
   }
   for (const auto& [key, delta] : txn->pending_deltas) {
@@ -196,10 +219,10 @@ StatusOr<Lsn> TxnManager::Commit(Transaction* txn, double now) {
   // uncommitted or non-redoable state can reach the backup.
   const bool lsn_cost = hooks_->NeedsLsnMaintenance();
   const bool ts_cost = hooks_->NeedsTimestampMaintenance();
-  for (const auto& [record, image] : txn->pending) {
-    SegmentId seg = db_->SegmentOf(record);
-    hooks_->BeforeSegmentUpdate(seg, record, txn->start_ts, now);
-    db_->WriteRecord(record, image);
+  for (const Transaction::PendingWrite& w : txn->pending) {
+    SegmentId seg = db_->SegmentOf(w.record);
+    hooks_->BeforeSegmentUpdate(seg, w.record, txn->start_ts, now);
+    db_->WriteRecord(w.record, PendingImage(*txn, w));
     segments_->MarkDirty(seg);
     segments_->set_timestamp(seg, txn->start_ts);
     segments_->set_update_lsn(seg, commit_lsn);

@@ -126,6 +126,13 @@ class TxnManager {
   // Incremental two-color admission for `txn` after touching `record`.
   Status CheckColors(Transaction* txn, SegmentId segment, double now);
 
+  // The buffered image of pending write `w`.
+  std::string_view PendingImage(const Transaction& txn,
+                                const Transaction::PendingWrite& w) const {
+    return std::string_view(txn.pending_images.data() + w.offset,
+                            db_->record_bytes());
+  }
+
   // Acquire + conflict tracing.
   Status AcquireLock(Transaction* txn, RecordId record, LockManager::Mode mode,
                      double now);

@@ -9,7 +9,10 @@
 
 namespace mmdb {
 
-void EncodeLogFrame(const LogRecord& record, std::string* dst) {
+namespace {
+
+template <typename Record>
+void EncodeFrame(const Record& record, std::string* dst) {
   // Encode the payload straight into *dst (the caller's long-lived tail
   // buffer) behind a length placeholder — no per-record scratch string.
   // EncodedSize() is a cheap arithmetic walk, so the reserve costs nothing
@@ -26,6 +29,12 @@ void EncodeLogFrame(const LogRecord& record, std::string* dst) {
       crc32c::Mask(crc32c::Value(dst->data() + payload_pos, payload_size));
   PutFixed32(dst, crc);
   PutFixed32(dst, payload_size);
+}
+
+}  // namespace
+
+void EncodeLogFrame(const LogRecord& record, std::string* dst) {
+  EncodeFrame(record, dst);
 }
 
 std::string EncodeLogFileHeader(uint64_t base_offset) {
@@ -181,23 +190,12 @@ void LogManager::set_obs(MetricsRegistry* registry, Tracer* tracer) {
   m_flush_seconds_ = registry->timer("log.flush_seconds");
 }
 
-Lsn LogManager::Append(LogRecord* record, double now, uint32_t stream) {
+template <typename Record>
+Lsn LogManager::AppendFrame(Record* record, double now, uint32_t stream) {
   Stream& s = streams_[stream];
-  if (streams_.size() > 1 && record->type == LogRecordType::kBeginCheckpoint) {
-    // Snapshot the per-stream split at the marker's global offset so a
-    // later TruncateBefore(this offset) knows where to cut each stream.
-    std::vector<uint64_t> split(streams_.size());
-    for (size_t k = 0; k < streams_.size(); ++k) {
-      split[k] = streams_[k].appended_bytes;
-    }
-    checkpoint_cuts_[appended_bytes_] = std::move(split);
-    while (checkpoint_cuts_.size() > kCheckpointCutsKept) {
-      checkpoint_cuts_.erase(checkpoint_cuts_.begin());
-    }
-  }
   record->lsn = next_lsn_++;
   size_t before = s.tail.size();
-  EncodeLogFrame(*record, &s.tail);
+  EncodeFrame(*record, &s.tail);
   size_t frame_bytes = s.tail.size() - before;
   appended_bytes_ += frame_bytes;
   tail_bytes_ += frame_bytes;
@@ -221,6 +219,26 @@ Lsn LogManager::Append(LogRecord* record, double now, uint32_t stream) {
                     static_cast<int64_t>(frame_bytes));
   }
   return record->lsn;
+}
+
+Lsn LogManager::Append(LogRecord* record, double now, uint32_t stream) {
+  if (streams_.size() > 1 && record->type == LogRecordType::kBeginCheckpoint) {
+    // Snapshot the per-stream split at the marker's global offset so a
+    // later TruncateBefore(this offset) knows where to cut each stream.
+    std::vector<uint64_t> split(streams_.size());
+    for (size_t k = 0; k < streams_.size(); ++k) {
+      split[k] = streams_[k].appended_bytes;
+    }
+    checkpoint_cuts_[appended_bytes_] = std::move(split);
+    while (checkpoint_cuts_.size() > kCheckpointCutsKept) {
+      checkpoint_cuts_.erase(checkpoint_cuts_.begin());
+    }
+  }
+  return AppendFrame(record, now, stream);
+}
+
+Lsn LogManager::Append(DataRecordView* record, double now, uint32_t stream) {
+  return AppendFrame(record, now, stream);
 }
 
 std::vector<uint64_t> LogManager::StreamWrittenSnapshot() const {

@@ -114,6 +114,10 @@ class LogManager {
   // movement to the CPU meter. `now` is only for the trace timeline
   // (callers without a clock may omit it).
   Lsn Append(LogRecord* record, double now = 0.0, uint32_t stream = 0);
+  // The same for an UPDATE or DELTA record whose image stays in the
+  // caller's buffer: the commit path logs pending images without copying
+  // them into a LogRecord.
+  Lsn Append(DataRecordView* record, double now = 0.0, uint32_t stream = 0);
 
   // Starts writing all buffered tail bytes — every stream's, as one gang
   // batch — to the log disks at time `now`. Returns immediately; the
@@ -225,6 +229,10 @@ class LogManager {
   Status Repair();
   Status RepairStream(Stream* s);
   bool AnyDamaged() const;
+  // Both Appends: assigns the LSN, encodes the frame onto the stream's
+  // tail, and does the accounting.
+  template <typename Record>
+  Lsn AppendFrame(Record* record, double now, uint32_t stream);
   // Folds the pending batches whose modeled completion is <= `now` into
   // durable_floor_, epoch_floor_ and each stream's durable_bytes_floor.
   void FoldLanded(double now);

@@ -15,6 +15,16 @@ LogRecord LogRecord::Update(TxnId txn, RecordId record, std::string image) {
   return r;
 }
 
+DataRecordView DataRecordView::Update(TxnId txn, RecordId record,
+                                     std::string_view image) {
+  DataRecordView r;
+  r.type = LogRecordType::kUpdate;
+  r.txn_id = txn;
+  r.record_id = record;
+  r.image = image;
+  return r;
+}
+
 LogRecord LogRecord::Delta(TxnId txn, RecordId record, uint32_t field_offset,
                            int64_t delta) {
   LogRecord r;
@@ -59,7 +69,22 @@ LogRecord LogRecord::EndCheckpoint(CheckpointId id) {
 
 namespace {
 
-// The prefix every payload carries: type, lsn, txn.
+// The prefix every payload carries: type, lsn, txn; and its size.
+void EncodePrefix(std::string* dst, LogRecordType type, Lsn lsn,
+                  TxnId txn_id) {
+  dst->push_back(static_cast<char>(type));
+  PutVarint64(dst, lsn);
+  PutVarint64(dst, txn_id);
+}
+
+size_t PrefixSize(Lsn lsn, TxnId txn_id) {
+  return 1 + VarintLength(lsn) + VarintLength(txn_id);
+}
+
+bool IsDataRecord(LogRecordType type) {
+  return type == LogRecordType::kUpdate || type == LogRecordType::kDelta;
+}
+
 Status DecodePrefix(std::string_view* payload, LogRecordType* type, Lsn* lsn,
                     TxnId* txn_id) {
   if (payload->empty()) return CorruptionError("empty log record payload");
@@ -118,23 +143,55 @@ Status LogRecordHeader::DecodeFrom(std::string_view payload,
   *out = LogRecordHeader();
   MMDB_RETURN_IF_ERROR(
       DecodePrefix(&payload, &out->type, &out->lsn, &out->txn_id));
-  if ((out->type == LogRecordType::kUpdate ||
-       out->type == LogRecordType::kDelta) &&
-      !GetVarint64(&payload, &out->record_id)) {
+  if (IsDataRecord(out->type) && !GetVarint64(&payload, &out->record_id)) {
     return CorruptionError("truncated data record header");
   }
   return Status::OK();
 }
 
+void DataRecordView::EncodeTo(std::string* dst) const {
+  EncodePrefix(dst, type, lsn, txn_id);
+  PutVarint64(dst, record_id);
+  if (type == LogRecordType::kUpdate) {
+    PutLengthPrefixed(dst, image);
+  } else {
+    PutVarint32(dst, field_offset);
+    PutFixed64(dst, static_cast<uint64_t>(delta));
+  }
+}
+
+size_t DataRecordView::EncodedSize() const {
+  size_t size = PrefixSize(lsn, txn_id) + VarintLength(record_id);
+  if (type == LogRecordType::kUpdate) {
+    size += VarintLength(image.size()) + image.size();
+  } else {
+    size += VarintLength(field_offset) + 8;
+  }
+  return size;
+}
+
+DataRecordView LogRecord::data_view() const {
+  DataRecordView v;
+  v.type = type;
+  v.lsn = lsn;
+  v.txn_id = txn_id;
+  v.record_id = record_id;
+  v.image = image;
+  v.field_offset = field_offset;
+  v.delta = delta;
+  return v;
+}
+
 void LogRecord::EncodeTo(std::string* dst) const {
-  dst->push_back(static_cast<char>(type));
-  PutVarint64(dst, lsn);
-  PutVarint64(dst, txn_id);
+  if (IsDataRecord(type)) {
+    data_view().EncodeTo(dst);
+    return;
+  }
+  EncodePrefix(dst, type, lsn, txn_id);
   switch (type) {
     case LogRecordType::kUpdate:
-      PutVarint64(dst, record_id);
-      PutLengthPrefixed(dst, image);
-      break;
+    case LogRecordType::kDelta:
+      break;  // encoded above
     case LogRecordType::kCommit:
     case LogRecordType::kAbort:
       break;
@@ -149,11 +206,6 @@ void LogRecord::EncodeTo(std::string* dst) const {
       break;
     case LogRecordType::kEndCheckpoint:
       PutVarint64(dst, checkpoint_id);
-      break;
-    case LogRecordType::kDelta:
-      PutVarint64(dst, record_id);
-      PutVarint32(dst, field_offset);
-      PutFixed64(dst, static_cast<uint64_t>(delta));
       break;
   }
 }
@@ -217,12 +269,12 @@ Status LogRecord::DecodeFrom(std::string_view payload, LogRecord* out) {
 size_t LogRecord::EncodedSize() const {
   // Mirrors EncodeTo arithmetically — exact, without materializing the
   // bytes (this runs per Append to pre-reserve the frame).
-  size_t size = 1 + VarintLength(lsn) + VarintLength(txn_id);
+  if (IsDataRecord(type)) return data_view().EncodedSize();
+  size_t size = PrefixSize(lsn, txn_id);
   switch (type) {
     case LogRecordType::kUpdate:
-      size += VarintLength(record_id) + VarintLength(image.size()) +
-              image.size();
-      break;
+    case LogRecordType::kDelta:
+      break;  // sized above
     case LogRecordType::kCommit:
     case LogRecordType::kAbort:
       break;
@@ -235,9 +287,6 @@ size_t LogRecord::EncodedSize() const {
       break;
     case LogRecordType::kEndCheckpoint:
       size += VarintLength(checkpoint_id);
-      break;
-    case LogRecordType::kDelta:
-      size += VarintLength(record_id) + VarintLength(field_offset) + 8;
       break;
   }
   return size;

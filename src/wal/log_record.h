@@ -83,10 +83,13 @@ struct LogRecordHeader {
   static Status DecodeFrom(std::string_view payload, LogRecordHeader* out);
 };
 
-// Zero-copy decode of an UPDATE or DELTA payload: the fields REDO needs,
-// the after-image pointing into the payload (valid while its bytes are).
-// Same checks and messages as LogRecord::DecodeFrom for the two data
-// kinds; replay applies images through it without copying them first.
+// An UPDATE or DELTA record whose after-image is a view (valid while the
+// bytes it points at are). Both directions use it without copying the
+// image: the commit path encodes UPDATE frames straight from a
+// transaction's pending images, and replay applies decoded images from the
+// log bytes. Its EncodeTo is the one encoder of the two data kinds
+// (LogRecord::EncodeTo delegates to it); its DecodeFrom makes the same
+// checks, with the same messages, as LogRecord::DecodeFrom.
 struct DataRecordView {
   LogRecordType type = LogRecordType::kUpdate;
   Lsn lsn = kInvalidLsn;
@@ -95,6 +98,13 @@ struct DataRecordView {
   std::string_view image;     // kUpdate
   uint32_t field_offset = 0;  // kDelta
   int64_t delta = 0;          // kDelta
+
+  static DataRecordView Update(TxnId txn, RecordId record,
+                               std::string_view image);
+
+  // Serializes the payload (without framing) onto *dst, and its size.
+  void EncodeTo(std::string* dst) const;
+  size_t EncodedSize() const;
 
   // INVALID_ARGUMENT for a well-formed payload of another kind.
   static Status DecodeFrom(std::string_view payload, DataRecordView* out);
@@ -138,6 +148,9 @@ struct LogRecord {
   // encoding pass), so it is cheap enough for the append hot path to
   // pre-reserve frames with.
   size_t EncodedSize() const;
+
+  // kUpdate / kDelta: the same record as a view over `image`.
+  DataRecordView data_view() const;
 
   std::string DebugString() const;
 

@@ -55,6 +55,37 @@ TEST(LockManagerTest, ReleaseAllFreesTable) {
   MMDB_ASSERT_OK(lm.Acquire(2, 10, LockManager::Mode::kExclusive));
 }
 
+TEST(LockManagerTest, ThreeSharersReleaseInAnyOrder) {
+  // One sharer more than the entry keeps inline.
+  LockManager lm;
+  MMDB_ASSERT_OK(lm.Acquire(1, 10, LockManager::Mode::kShared));
+  MMDB_ASSERT_OK(lm.Acquire(2, 10, LockManager::Mode::kShared));
+  MMDB_ASSERT_OK(lm.Acquire(3, 10, LockManager::Mode::kShared));
+  for (TxnId t : {1, 2, 3}) {
+    EXPECT_TRUE(lm.Holds(t, 10, LockManager::Mode::kShared)) << t;
+  }
+
+  // The middle holder leaves first; the other two keep their locks.
+  lm.ReleaseAll(2, {10});
+  EXPECT_FALSE(lm.Holds(2, 10, LockManager::Mode::kShared));
+  EXPECT_TRUE(lm.Holds(1, 10, LockManager::Mode::kShared));
+  EXPECT_TRUE(lm.Holds(3, 10, LockManager::Mode::kShared));
+
+  // Two sharers remain: neither may upgrade.
+  EXPECT_TRUE(lm.Acquire(3, 10, LockManager::Mode::kExclusive).IsAborted());
+  EXPECT_TRUE(lm.Acquire(1, 10, LockManager::Mode::kExclusive).IsAborted());
+
+  // One remains: its upgrade is granted and excludes everyone else.
+  lm.ReleaseAll(1, {10});
+  MMDB_ASSERT_OK(lm.Acquire(3, 10, LockManager::Mode::kExclusive));
+  EXPECT_TRUE(lm.Holds(3, 10, LockManager::Mode::kExclusive));
+  EXPECT_TRUE(lm.Acquire(1, 10, LockManager::Mode::kShared).IsAborted());
+
+  lm.ReleaseAll(3, {10});
+  EXPECT_FALSE(lm.IsLocked(10));
+  EXPECT_EQ(lm.num_locked_records(), 0u);
+}
+
 class TxnManagerTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -127,6 +158,41 @@ TEST_F(TxnManagerTest, ReadYourWritesAndSnapshotOfOthers) {
   EXPECT_EQ(db_->ReadRecord(5), std::string_view(Image('\0')));
   MMDB_ASSERT_OK(txns_->Commit(t, 0.0).status());
   EXPECT_EQ(db_->ReadRecord(5), std::string_view(Image('x')));
+}
+
+TEST_F(TxnManagerTest, UpdatesLogInRecordOrderAndRewriteKeepsLastImage) {
+  Transaction* t = txns_->Begin(0.0);
+  const TxnId id = t->id;
+  MMDB_ASSERT_OK(txns_->Write(t, 30, Image('a'), 0.0));
+  MMDB_ASSERT_OK(txns_->Write(t, 5, Image('b'), 0.0));
+  MMDB_ASSERT_OK(txns_->Write(t, 17, Image('c'), 0.0));
+  MMDB_ASSERT_OK(txns_->Write(t, 5, Image('d'), 0.0));  // rewrite
+  std::string value;
+  MMDB_ASSERT_OK(txns_->Read(t, 5, &value, 0.0));
+  EXPECT_EQ(value, Image('d'));
+  MMDB_ASSERT_OK(txns_->Commit(t, 0.0).status());
+
+  // One UPDATE per record, in record order, then the COMMIT.
+  log_->Flush(0.0);
+  MMDB_ASSERT_OK(log_->Crash(1000.0));
+  auto reader = LogReader::Open(env_.get(), "wal.log");
+  MMDB_ASSERT_OK(reader);
+  ASSERT_EQ(reader->num_records(), 4u);
+  const RecordId want_ids[] = {5, 17, 30};
+  const char want_fill[] = {'d', 'c', 'a'};
+  for (size_t i = 0; i < 3; ++i) {
+    auto r = reader->RecordAtIndex(i);
+    MMDB_ASSERT_OK(r);
+    EXPECT_EQ(r->type, LogRecordType::kUpdate) << i;
+    EXPECT_EQ(r->txn_id, id) << i;
+    EXPECT_EQ(r->record_id, want_ids[i]) << i;
+    EXPECT_EQ(r->image, Image(want_fill[i])) << i;
+  }
+  auto commit = reader->RecordAtIndex(3);
+  MMDB_ASSERT_OK(commit);
+  EXPECT_EQ(commit->type, LogRecordType::kCommit);
+  EXPECT_EQ(commit->txn_id, id);
+  EXPECT_EQ(db_->ReadRecord(5), std::string_view(Image('d')));
 }
 
 TEST_F(TxnManagerTest, AbortDiscardsAndLogsAbortRecord) {
